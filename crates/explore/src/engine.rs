@@ -1,21 +1,34 @@
 //! The streaming sweep engine.
 //!
-//! [`SweepEngine::run`] evaluates every point of a [`ParamSpace`] (or a
-//! sampled subset) across a scoped-thread worker pool and folds the
-//! results incrementally through a [`Fold`] — the grid is never
+//! [`SweepEngine`] evaluates design points of a [`ParamSpace`] — all of
+//! them ([`SweepEngine::run`]), a contiguous id range
+//! ([`SweepEngine::run_range`]), or an explicit id list such as a seeded
+//! sample or a search cohort ([`SweepEngine::run_ids`]) — and folds the
+//! results incrementally through a [`Fold`]: the grid is never
 //! materialized, so a million-point sweep costs the fold's state, not
 //! the grid's.
 //!
+//! ## One evaluation path
+//!
+//! All three entry points share one chunked driver over an id source.
+//! Every chunk is priced by the slab evaluator (`slab.rs`): its points'
+//! cost queries are gathered into one [`CostBackend::estimate_batch`]
+//! call and scattered back with the simulator's exact arithmetic, for
+//! uniform-FP16 and mixed-precision (scheduled) points alike. There is
+//! no per-point fallback in library code; the per-point reference lives
+//! in the property tests as the oracle the slab must match bit for bit.
+//!
 //! ## Determinism
 //!
-//! Workers pull fixed-size chunks of consecutive design ids from an
-//! atomic counter and evaluate them independently; finished chunks pass
-//! through a reorder buffer that folds them strictly in chunk order.
-//! Every point evaluation is a deterministic function of its scenario
-//! (backends are deterministic in their cache key), so the fold observes
-//! an identical sequence — and produces byte-identical output — no
-//! matter how many threads run the sweep. CI diffs suite results across
-//! thread counts to hold this contract.
+//! Workers pull fixed-size chunks of the id source from an atomic
+//! counter and evaluate them independently; finished chunks pass through
+//! a reorder buffer that folds them strictly in chunk order. Every point
+//! evaluation is a deterministic function of its scenario (backends are
+//! deterministic in their cache key), so the fold observes an identical
+//! sequence — and produces byte-identical output — no matter how many
+//! threads run the sweep. A sweep that needs one worker runs on the
+//! calling thread. CI diffs suite results across thread counts to hold
+//! this contract.
 //!
 //! ## Backend sharing
 //!
@@ -28,6 +41,7 @@
 
 use crate::control::{CancelToken, ChunkGovernor};
 use crate::events::{SweepEvent, SweepSink};
+use crate::slab::SlabPlan;
 use crate::space::{DesignId, LabelTable, ParamSpace};
 use mpipu_hw::DesignMetrics;
 use mpipu_sim::CostBackend;
@@ -53,7 +67,7 @@ impl Coords {
     }
 
     /// A view of `points` consecutive coordinate rows sharing one slab
-    /// (the slab fast path's layout; `slab.len() == points * axes`).
+    /// (the slab evaluator's layout; `slab.len() == points * axes`).
     pub(crate) fn rows(slab: Arc<[usize]>, points: usize) -> impl Iterator<Item = Coords> {
         let axes = slab.len().checked_div(points).unwrap_or(0);
         (0..points).map(move |i| Coords {
@@ -280,13 +294,9 @@ impl SweepEngine {
 
     /// Sweep the full cartesian product, folding in id order.
     ///
-    /// Schedule-free spaces take the *slab* fast path: each chunk's
-    /// points are gathered into one [`CostBackend::estimate_batch`]
-    /// call, so a batched backend prices a whole axis-contiguous slab
-    /// at once. Results are bit-identical to the scalar per-point path
-    /// (which [`SweepEngine::run_ids`] always uses — the reference the
-    /// property tests compare against), and the fold still observes
-    /// points strictly in id order at any thread count.
+    /// # Panics
+    /// Panics when a precision schedule does not fit a workload of the
+    /// space (see [`ParamSpace::check_schedules`]).
     pub fn run<F: Fold + Send>(
         &self,
         space: &ParamSpace,
@@ -296,26 +306,16 @@ impl SweepEngine {
     where
         F::Output: Send,
     {
-        if let Some(plan) = crate::slab::SlabPlan::try_new(space, self.backend.as_ref()) {
-            return self.drive_chunks(
-                space.len(),
-                |lo, hi| plan.evaluate_chunk(lo, hi),
-                fold,
-                sink,
-            );
-        }
         self.drive(space, space.len(), DesignId, fold, sink)
     }
 
     /// Sweep the contiguous id range `[lo, hi)`, folding in id order —
-    /// the shard work-unit path. Takes the same slab fast path as
-    /// [`SweepEngine::run`] (evaluating absolute-id subranges of the
-    /// plan), so a range sweep is bit-identical to the corresponding
-    /// stretch of a full sweep; schedule-bearing spaces fall back to the
-    /// scalar per-point path with the same contract.
+    /// the shard work-unit path, bit-identical to the corresponding
+    /// stretch of a full sweep.
     ///
     /// # Panics
-    /// Panics when the range is inverted or reaches past the space.
+    /// Panics when the range is inverted or reaches past the space, or
+    /// on a schedule that does not fit (as [`SweepEngine::run`]).
     pub fn run_range<F: Fold + Send>(
         &self,
         space: &ParamSpace,
@@ -328,25 +328,17 @@ impl SweepEngine {
         F::Output: Send,
     {
         assert!(lo <= hi && hi <= space.len(), "unit range out of bounds");
-        if let Some(plan) = crate::slab::SlabPlan::try_new(space, self.backend.as_ref()) {
-            return self.drive_chunks(
-                hi - lo,
-                |a, b| plan.evaluate_chunk(lo + a, lo + b),
-                fold,
-                sink,
-            );
-        }
         self.drive(space, hi - lo, |rank| DesignId(lo + rank), fold, sink)
     }
 
-    /// Sweep an explicit id list (e.g. a filtered or externally-ordered
-    /// subset), folding in list order.
+    /// Sweep an explicit id list — a seeded sample
+    /// ([`ParamSpace::sample_ids`]), a search cohort, a single point —
+    /// folding in list order. Each point evaluates exactly as it does in
+    /// a full sweep.
     ///
-    /// Always evaluates point by point — this is the scalar *reference*
-    /// path the slab bit-identity property tests compare against, so it
-    /// must never grow a fast path of its own. Batch-heavy callers (the
-    /// guided [`crate::search::SearchEngine`]) use
-    /// [`SweepEngine::run_ids_fast`] instead.
+    /// # Panics
+    /// Panics when an id is out of range, or on a schedule that does not
+    /// fit (as [`SweepEngine::run`]).
     pub fn run_ids<F: Fold + Send>(
         &self,
         space: &ParamSpace,
@@ -366,51 +358,12 @@ impl SweepEngine {
         )
     }
 
-    /// Sweep an explicit id list through the slab fast path when the
-    /// space is slab-eligible (no schedules — see [`SweepEngine::run`]),
-    /// falling back to the scalar path otherwise. Bit-identical to
-    /// [`SweepEngine::run_ids`] over the same list (property-tested);
-    /// the fold still observes points strictly in list order at any
-    /// thread count.
-    pub fn run_ids_fast<F: Fold + Send>(
-        &self,
-        space: &ParamSpace,
-        ids: &[DesignId],
-        fold: F,
-        sink: &dyn SweepSink,
-    ) -> F::Output
-    where
-        F::Output: Send,
-    {
-        if let Some(plan) = crate::slab::SlabPlan::try_new(space, self.backend.as_ref()) {
-            return self.drive_chunks(
-                ids.len() as u64,
-                |lo, hi| plan.evaluate_ids(&ids[lo as usize..hi as usize]),
-                fold,
-                sink,
-            );
-        }
-        self.run_ids(space, ids, fold, sink)
-    }
-
-    /// Sweep `count` distinct uniformly sampled points (seeded, without
-    /// replacement — see [`ParamSpace::sample_ids`]), folding in
-    /// ascending id order.
-    pub fn run_sampled<F: Fold + Send>(
-        &self,
-        space: &ParamSpace,
-        count: usize,
-        seed: u64,
-        fold: F,
-        sink: &dyn SweepSink,
-    ) -> F::Output
-    where
-        F::Output: Send,
-    {
-        self.run_ids(space, &space.sample_ids(count, seed), fold, sink)
-    }
-
-    /// Scalar (point-at-a-time) chunk evaluation.
+    /// The chunked driver over the id source `id_of(0..total)`: workers
+    /// pull `[lo, hi)` rank ranges from an atomic counter, price each
+    /// through the slab plan, and a reorder buffer folds finished chunks
+    /// strictly in chunk order — the byte-determinism contract is
+    /// enforced here. A sweep that needs one worker runs it on the
+    /// calling thread.
     fn drive<F: Fold + Send>(
         &self,
         space: &ParamSpace,
@@ -422,34 +375,8 @@ impl SweepEngine {
     where
         F::Output: Send,
     {
-        let labels = space.label_table();
-        self.drive_chunks(
-            total,
-            |lo, hi| {
-                (lo..hi)
-                    .map(|rank| self.evaluate_id(space, id_of(rank), &labels))
-                    .collect()
-            },
-            fold,
-            sink,
-        )
-    }
-
-    /// The shared chunked driver: workers pull `[lo, hi)` rank ranges
-    /// from an atomic counter, evaluate them through `eval_chunk`
-    /// (scalar or slab), and a reorder buffer folds finished chunks
-    /// strictly in chunk order — the byte-determinism contract is
-    /// enforced here, independent of the evaluation strategy.
-    fn drive_chunks<F: Fold + Send>(
-        &self,
-        total: u64,
-        eval_chunk: impl Fn(u64, u64) -> Vec<PointEval> + Sync,
-        fold: F,
-        sink: &dyn SweepSink,
-    ) -> F::Output
-    where
-        F::Output: Send,
-    {
+        let plan = SlabPlan::new(space, self.backend.as_ref())
+            .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
         let threads = effective_threads(self.threads, total, self.chunk_size);
         let chunk = self.chunk_size as u64;
         let chunks = total.div_ceil(chunk) as usize;
@@ -475,60 +402,64 @@ impl SweepEngine {
         let next_chunk = AtomicUsize::new(0);
         let aborted = AtomicBool::new(false);
 
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    // Cancellation and fair-share permits are consulted
-                    // strictly *between* chunks: a sweep that runs to
-                    // completion folds the identical sequence with or
-                    // without them.
-                    if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        aborted.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    if let Some(g) = &self.governor {
-                        if !g.acquire() {
-                            aborted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        if let Some(g) = &self.governor {
-                            g.release();
-                        }
-                        break;
-                    }
-                    let lo = c as u64 * chunk;
-                    let hi = total.min(lo + chunk);
-                    let evals = eval_chunk(lo, hi);
-                    if let Some(g) = &self.governor {
-                        // Release before merging: the permit rations the
-                        // evaluation work, not the (cheap) fold.
-                        g.release();
-                    }
-                    // Fold strictly in chunk order: park out-of-order
-                    // chunks, drain the contiguous prefix. The buffer
-                    // holds at most ~`threads` chunks.
-                    let mut guard = merge.lock().expect("merge state poisoned");
-                    let m = &mut *guard;
-                    m.pending.insert(c, evals);
-                    while let Some(ready) = m.pending.remove(&m.next) {
-                        for eval in &ready {
-                            m.fold.accept(eval);
-                        }
-                        m.done += ready.len() as u64;
-                        sink.event(&SweepEvent::ChunkFinished {
-                            chunk: m.next,
-                            chunks,
-                            points_done: m.done,
-                            points: total,
-                        });
-                        m.next += 1;
-                    }
-                });
+        let work = || loop {
+            // Cancellation and fair-share permits are consulted strictly
+            // *between* chunks: a sweep that runs to completion folds the
+            // identical sequence with or without them.
+            if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+                aborted.store(true, Ordering::Relaxed);
+                break;
             }
-        });
+            if let Some(g) = &self.governor {
+                if !g.acquire() {
+                    aborted.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                if let Some(g) = &self.governor {
+                    g.release();
+                }
+                break;
+            }
+            let lo = c as u64 * chunk;
+            let hi = total.min(lo + chunk);
+            let evals = plan.evaluate(&(lo..hi).map(&id_of).collect::<Vec<_>>());
+            if let Some(g) = &self.governor {
+                // Release before merging: the permit rations the
+                // evaluation work, not the (cheap) fold.
+                g.release();
+            }
+            // Fold strictly in chunk order: park out-of-order chunks,
+            // drain the contiguous prefix. The buffer holds at most
+            // ~`threads` chunks.
+            let mut guard = merge.lock().expect("merge state poisoned");
+            let m = &mut *guard;
+            m.pending.insert(c, evals);
+            while let Some(ready) = m.pending.remove(&m.next) {
+                for eval in &ready {
+                    m.fold.accept(eval);
+                }
+                m.done += ready.len() as u64;
+                sink.event(&SweepEvent::ChunkFinished {
+                    chunk: m.next,
+                    chunks,
+                    points_done: m.done,
+                    points: total,
+                });
+                m.next += 1;
+            }
+        };
+        if threads == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(work);
+                }
+            });
+        }
 
         if let Some(backend) = &self.backend {
             if let Some(stats) = backend.cache_stats() {
@@ -559,38 +490,13 @@ impl SweepEngine {
         }
         merge.fold.finish()
     }
-
-    /// Evaluate one design point (the per-point hot path).
-    pub fn evaluate(&self, space: &ParamSpace, id: DesignId) -> Option<PointEval> {
-        (id.0 < space.len()).then(|| self.evaluate_id(space, id, &space.label_table()))
-    }
-
-    fn evaluate_id(&self, space: &ParamSpace, id: DesignId, labels: &Arc<LabelTable>) -> PointEval {
-        let spec = space.point(id).expect("design id in range");
-        let scenario = match &self.backend {
-            Some(b) => spec.scenario.cost_backend(b.clone()),
-            None => spec.scenario,
-        };
-        let r = scenario.run();
-        let normalized = r.normalized();
-        PointEval {
-            id,
-            coords: spec.coords.into(),
-            label_table: labels.clone(),
-            cycles: r.result.total_cycles(),
-            baseline_cycles: r.result.total_baseline_cycles(),
-            normalized,
-            fp_fraction: r.fp_fraction,
-            metrics: scenario.metrics(normalized),
-        }
-    }
 }
 
 fn effective_threads(requested: usize, total: u64, chunk_size: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let n = if requested == 0 { hw } else { requested };
+    let n = match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
     // More threads than chunks would idle immediately.
     let chunks = total.div_ceil(chunk_size.max(1) as u64);
     n.clamp(1, chunks.clamp(1, 1024) as usize)
@@ -724,8 +630,16 @@ mod tests {
     #[test]
     fn sampled_sweep_is_reproducible_and_duplicate_free() {
         let engine = SweepEngine::new().threads(2).chunk_size(4);
-        let a = engine.run_sampled(&space(), 5, 9, Collect::new(), &NullSweepSink);
-        let b = engine.run_sampled(&space(), 5, 9, Collect::new(), &NullSweepSink);
+        let sampled = |count| {
+            let space = space();
+            engine.run_ids(
+                &space,
+                &space.sample_ids(count, 9),
+                Collect::new(),
+                &NullSweepSink,
+            )
+        };
+        let (a, b) = (sampled(5), sampled(5));
         assert_eq!(a.len(), 5);
         assert!(
             a.windows(2).all(|w| w[0].id < w[1].id),
@@ -736,8 +650,7 @@ mod tests {
             assert_eq!(x.cycles, y.cycles);
         }
         // Oversampling clamps to the whole space.
-        let all = engine.run_sampled(&space(), 16, 9, Collect::new(), &NullSweepSink);
-        assert_eq!(all.len(), 8);
+        assert_eq!(sampled(16).len(), 8);
     }
 
     #[test]
@@ -763,32 +676,34 @@ mod tests {
                 *stats.lock().unwrap() = Some((backend.to_string(), *hits, *misses));
             }
         });
-        let engine = SweepEngine::new()
-            .backend(Backend::AnalyticBatched.instantiate())
-            .chunk_size(3);
-        let slab = engine.run(&space(), Collect::new(), &sink);
-        let ids: Vec<DesignId> = (0..8).map(DesignId).collect();
-        let scalar = engine.run_ids(&space(), &ids, Collect::new(), &NullSweepSink);
-        assert_eq!(slab.len(), scalar.len());
-        for (a, b) in slab.iter().zip(&scalar) {
-            assert_eq!(a.id, b.id);
+        let backend = Backend::AnalyticBatched.instantiate();
+        let space = space();
+        let slab = SweepEngine::new()
+            .backend(backend.clone())
+            .chunk_size(3)
+            .run(&space, Collect::new(), &sink);
+        assert_eq!(slab.len(), 8);
+        for a in &slab {
+            // The reference: lower the point and run it on its own.
+            let spec = space.point(a.id).unwrap();
+            let scenario = spec.scenario.cost_backend(backend.clone());
+            let r = scenario.run();
             assert_eq!(
-                a.labels().collect::<Vec<_>>(),
-                b.labels().collect::<Vec<_>>()
+                a.labels().map(|l| l.to_string()).collect::<Vec<_>>(),
+                spec.labels
             );
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.baseline_cycles, b.baseline_cycles);
-            assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
+            assert_eq!(a.cycles, r.result.total_cycles());
+            assert_eq!(a.baseline_cycles, r.result.total_baseline_cycles());
+            assert_eq!(a.normalized.to_bits(), r.normalized().to_bits());
             assert_eq!(
                 a.metrics.fp_tflops_per_w.to_bits(),
-                b.metrics.fp_tflops_per_w.to_bits()
+                scenario.metrics(r.normalized()).fp_tflops_per_w.to_bits()
             );
         }
         let (backend, hits, misses) = stats.into_inner().unwrap().expect("stats event");
         assert_eq!(backend, "analytic-batched");
         // 8 designs over 4 w values share 4 DP classes (cluster size
         // scales after the DP): every class is computed exactly once.
-        assert_eq!(hits + misses, 8, "one collapsed query per point");
         assert!(
             misses < 8,
             "slab sweep must share DP classes: {hits} hits, {misses} misses"
@@ -796,19 +711,20 @@ mod tests {
     }
 
     #[test]
-    fn run_ids_fast_matches_the_scalar_reference_on_arbitrary_lists() {
+    fn run_ids_matches_the_full_sweep_on_arbitrary_lists() {
         let space = space();
         let engine = SweepEngine::new()
             .backend(Backend::AnalyticBatched.instantiate())
             .chunk_size(3);
-        // Non-contiguous, non-monotone list: the slab path must decode
-        // each id rather than assume consecutive ranks.
-        let ids: Vec<DesignId> = [6u64, 0, 3, 5, 1, 2].map(DesignId).to_vec();
-        let fast = engine.run_ids_fast(&space, &ids, Collect::new(), &NullSweepSink);
-        let scalar = engine.run_ids(&space, &ids, Collect::new(), &NullSweepSink);
-        assert_eq!(fast.len(), scalar.len());
-        for (a, b) in fast.iter().zip(&scalar) {
-            assert_eq!(a.id, b.id);
+        let full = engine.run(&space, Collect::new(), &NullSweepSink);
+        // Non-contiguous, non-monotone, repeating list: the evaluator
+        // must decode each id rather than assume consecutive ranks.
+        let ids: Vec<DesignId> = [6u64, 0, 3, 5, 5, 1, 2].map(DesignId).to_vec();
+        let listed = engine.run_ids(&space, &ids, Collect::new(), &NullSweepSink);
+        assert_eq!(listed.len(), ids.len());
+        for (a, id) in listed.iter().zip(&ids) {
+            let b = &full[id.0 as usize];
+            assert_eq!(a.id, *id);
             assert_eq!(&a.coords, &b.coords);
             assert_eq!(a.cycles, b.cycles);
             assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
@@ -820,15 +736,55 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_spaces_fall_back_to_the_scalar_path() {
-        use mpipu_sim::Schedule;
+    fn one_thread_evaluates_and_folds_on_the_calling_thread() {
+        use mpipu_sim::{CostQuery, Schedule};
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        /// Records the thread of every backend call.
+        #[derive(Debug)]
+        struct Spy(Arc<dyn CostBackend>, Mutex<Vec<ThreadId>>);
+        impl CostBackend for Spy {
+            fn name(&self) -> &'static str {
+                "spy"
+            }
+            fn window_cycles(&self, q: &CostQuery) -> f64 {
+                self.1.lock().unwrap().push(std::thread::current().id());
+                self.0.window_cycles(q)
+            }
+            fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
+                self.1.lock().unwrap().push(std::thread::current().id());
+                self.0.estimate_batch(queries, out)
+            }
+        }
+        /// Records the thread of every accepted point.
+        struct Where(Vec<ThreadId>);
+        impl Fold for Where {
+            type Output = Vec<ThreadId>;
+            fn accept(&mut self, _eval: &PointEval) {
+                self.0.push(std::thread::current().id());
+            }
+            fn finish(self) -> Vec<ThreadId> {
+                self.0
+            }
+        }
+
+        let spy = Arc::new(Spy(
+            Backend::AnalyticBatched.instantiate(),
+            Mutex::new(Vec::new()),
+        ));
         let space = space().axis(Axis::schedule(vec![Schedule::FirstLastFp16]));
-        let evals = SweepEngine::new().run(&space, Collect::new(), &NullSweepSink);
-        assert_eq!(evals.len(), 8);
-        assert!(
-            evals.iter().all(|e| e.fp_fraction < 1.0),
-            "scheduled points must report their FP16 share"
-        );
+        let folded = SweepEngine::new()
+            .threads(1)
+            .chunk_size(3)
+            .backend(spy.clone())
+            .run(&space, Where(Vec::new()), &NullSweepSink);
+        let me = std::thread::current().id();
+        assert_eq!(folded.len(), 8);
+        assert!(folded.iter().all(|t| *t == me), "folded off-thread");
+        let priced = spy.1.lock().unwrap();
+        assert_eq!(priced.len(), 3, "one slab per chunk");
+        assert!(priced.iter().all(|t| *t == me), "evaluated off-thread");
     }
 
     #[test]
@@ -930,8 +886,8 @@ mod tests {
     fn evaluate_single_point_matches_sweep() {
         let engine = SweepEngine::new();
         let evals = collect(&engine);
-        let solo = engine.evaluate(&space(), DesignId(3)).unwrap();
-        assert_eq!(solo.cycles, evals[3].cycles);
-        assert!(engine.evaluate(&space(), DesignId(99)).is_none());
+        let solo = engine.run_ids(&space(), &[DesignId(3)], Collect::new(), &NullSweepSink);
+        assert_eq!(solo.len(), 1);
+        assert_eq!(solo[0].cycles, evals[3].cycles);
     }
 }

@@ -9,9 +9,10 @@
 //!   (grid, list, log-range values per axis) with a stable [`DesignId`]
 //!   per point, cartesian-product iteration, and random sampling;
 //! * [`SweepEngine`] — a streaming, chunked, scoped-thread runner that
-//!   lowers every point through `Scenario::run`, evaluates it on a shared
-//!   `Arc<dyn CostBackend>` (memoized backends dedupe overlapping points
-//!   automatically), and folds results incrementally instead of
+//!   prices each chunk of points in one batched call on a shared
+//!   `Arc<dyn CostBackend>` (bit-identical to running every point
+//!   through `Scenario::run`; memoized backends dedupe overlapping
+//!   points automatically), and folds results incrementally instead of
 //!   materializing the grid;
 //! * [`Objective`] / [`ParetoFold`] / [`TopK`] — objective extraction
 //!   over [`PointEval`]s plus an exact Pareto-frontier fold and top-k

@@ -10,8 +10,8 @@
 //! propose a candidate cohort (uniform exploration, frontier-neighbor
 //! expansion, and a k-NN surrogate ranking a seeded pool — all
 //! hand-rolled, no dependencies), prices the cohort through
-//! [`SweepEngine::run_ids_fast`] (the slab `estimate_batch` path on
-//! slab-eligible spaces), folds every evaluation into one running
+//! [`SweepEngine::run_ids`] (one slab `estimate_batch` call per chunk,
+//! schedule spaces included), folds every evaluation into one running
 //! [`ParetoFold`], and then prunes: survivors are the top
 //! `keep_fraction` of the pool by domination count — the
 //! successive-halving step that keeps later, narrower rungs focused on
@@ -706,11 +706,8 @@ impl SearchEngine {
             }
             cohort.sort_unstable();
 
-            // Price the whole cohort (slab fast path where eligible)
-            // and fold in ascending id order.
-            let evals = self
-                .engine
-                .run_ids_fast(space, &cohort, Collect::new(), sink);
+            // Price the whole cohort and fold in ascending id order.
+            let evals = self.engine.run_ids(space, &cohort, Collect::new(), sink);
             let mut rung_survivors: Vec<Survivor> = Vec::with_capacity(evals.len());
             for eval in &evals {
                 fold.accept_canonical(eval);
@@ -837,7 +834,7 @@ impl SearchEngine {
             }
             ring.sort_unstable();
             ring.truncate(remaining as usize);
-            let evals = self.engine.run_ids_fast(space, &ring, Collect::new(), sink);
+            let evals = self.engine.run_ids(space, &ring, Collect::new(), sink);
             for eval in &evals {
                 fold.accept_canonical(eval);
                 visited.insert(eval.id.0);

@@ -1,35 +1,39 @@
-//! The sweep engine's slab fast path: evaluate an axis-contiguous chunk
-//! of a [`ParamSpace`] as one batched backend call.
+//! The sweep engine's evaluator: price a chunk of design points of a
+//! [`ParamSpace`] as one batched backend call.
 //!
-//! [`SlabPlan::try_new`] checks that a space is slab-eligible (no
-//! precision schedules — scheduled points mix INT and FP layers and keep
-//! the scalar path) and hoists everything rank-independent: per-axis
-//! label tables, the shared cost backend, and whether that backend is
-//! *seed-blind* (its [`CostQuery`] cache key ignores the sampling seed,
-//! as the analytic backends' do — probed through the public
-//! `cache_key` contract, never by downcasting).
+//! [`SlabPlan::new`] checks the space's schedules against its workloads
+//! ([`ParamSpace::check_schedules`]) and hoists everything
+//! rank-independent: per-axis label tables, the shared cost backend, and
+//! whether that backend is *seed-blind* (its [`CostQuery`] cache key
+//! ignores the sampling seed, as the analytic backends' do — probed
+//! through the public `cache_key` contract, never by downcasting).
 //!
-//! [`SlabPlan::evaluate_chunk`] then walks one chunk of consecutive
-//! design ids with a mixed-radix odometer — reapplying only the axes
-//! whose coordinate changed, via the same [`Axis::apply`] the scalar
-//! path uses — and splits evaluation into three passes:
+//! [`SlabPlan::evaluate`] then walks a list of design ids — consecutive
+//! ids step like a mixed-radix odometer, reapplying only the axes whose
+//! coordinate changed via the same [`Axis::apply`] that
+//! [`ParamSpace::point`] uses — and splits evaluation into three passes:
 //!
 //! 1. **Gather** — resolve each point's workload/geometry to a cached
 //!    [`LayerTable`] (per-layer step counts, sampling windows, seeds,
-//!    and the baseline total, exactly as the scalar simulator derives
-//!    them) and append its cost queries to one slab. For seed-blind
-//!    backends, layers sharing a sampling window collapse into a single
-//!    query per point.
+//!    and the baseline total, exactly as the simulator derives them)
+//!    and its schedule to per-layer precisions, then append its cost
+//!    queries to one slab. INT layers need no query; every FP16 layer
+//!    needs the query the simulator's per-layer core would issue (same
+//!    window, same seed from the layer's index among *all* layers). For
+//!    seed-blind backends, a point's FP16 layers sharing a sampling
+//!    window collapse into a single query.
 //! 2. **Estimate** — a single [`CostBackend::estimate_batch`] call over
 //!    the whole chunk's slab.
-//! 3. **Scatter** — rebuild every [`PointEval`] with the scalar path's
+//! 3. **Scatter** — rebuild every [`PointEval`] with the simulator's
 //!    exact arithmetic: per-layer `(window_cycles · steps / sampled)`
-//!    rounding in the same op order, u64 totals in layer order, and
+//!    rounding in the same op order, INT layers at `steps · ka · kb`,
+//!    u64 totals in layer order, the FP16 share of baseline work, and
 //!    metrics through the hoisted [`MetricsFactors`].
 //!
-//! Bit-identity with [`SweepEngine::run_ids`]'s scalar evaluation is the
-//! contract (property-tested in `tests/proptests.rs`); the slab path
-//! changes how often shared math runs, never the math itself.
+//! Bit-identity with lowering each point through `Scenario::run` is the
+//! contract (property-tested against a per-point oracle in
+//! `tests/proptests.rs`); the slab changes how often shared math runs,
+//! never the math itself.
 
 use crate::axis::Axis;
 use crate::engine::PointEval;
@@ -40,7 +44,8 @@ use mpipu_dnn::zoo::Workload;
 use mpipu_hw::MetricsFactors;
 use mpipu_sim::cost::pass_distributions;
 use mpipu_sim::{
-    layer_steps, CostBackend, CostQuery, SimDesign, SimOptions, BASELINE_CYCLES_PER_STEP,
+    layer_steps, CostBackend, CostQuery, LayerPrecision, ScheduleError, SimDesign, SimOptions,
+    BASELINE_CYCLES_PER_STEP,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,7 +54,7 @@ use std::sync::Arc;
 /// mapped to the `(total cycles, normalized)` it produced.
 type TotalsMemoSlot = Option<(usize, u64, (u64, f64))>;
 
-/// Everything rank-independent about one slab-evaluated sweep.
+/// Everything rank-independent about one sweep.
 pub(crate) struct SlabPlan<'s> {
     space: &'s ParamSpace,
     backend: Arc<dyn CostBackend>,
@@ -65,23 +70,14 @@ pub(crate) struct SlabPlan<'s> {
 }
 
 impl<'s> SlabPlan<'s> {
-    /// Plan a slab sweep, or `None` when the space needs the scalar
-    /// path (a schedule anywhere, or an invalid base scenario).
-    pub(crate) fn try_new(
+    /// Plan a sweep of `space`, refusing one whose schedules do not fit
+    /// its workloads.
+    pub(crate) fn new(
         space: &'s ParamSpace,
         override_backend: Option<&Arc<dyn CostBackend>>,
-    ) -> Option<SlabPlan<'s>> {
-        if space
-            .axes()
-            .iter()
-            .any(|a| matches!(a, Axis::Schedule(_) | Axis::ScheduleMask { .. }))
-        {
-            return None;
-        }
-        let lowered = space.base().try_lower().ok()?;
-        if lowered.schedule.is_some() {
-            return None;
-        }
+    ) -> Result<SlabPlan<'s>, ScheduleError> {
+        space.check_schedules()?;
+        let lowered = space.base().try_lower()?;
         let backend = override_backend
             .cloned()
             .unwrap_or_else(|| lowered.backend.clone());
@@ -105,7 +101,7 @@ impl<'s> SlabPlan<'s> {
             .filter(|(_, a)| matches!(a, Axis::Workload(_) | Axis::Pass(_)))
             .map(|(i, _)| i)
             .collect();
-        Some(SlabPlan {
+        Ok(SlabPlan {
             space,
             backend,
             seed_blind,
@@ -115,85 +111,117 @@ impl<'s> SlabPlan<'s> {
         })
     }
 
-    /// Evaluate design ids `lo..hi` (the engine's chunk unit) through
-    /// the three-pass slab pipeline.
-    pub(crate) fn evaluate_chunk(&self, lo: u64, hi: u64) -> Vec<PointEval> {
-        let ids: Vec<DesignId> = (lo..hi).map(DesignId).collect();
-        Worker::new(self).ids(&ids)
-    }
-
-    /// Evaluate an explicit id list (in list order) through the same
-    /// three-pass pipeline — the [`crate::SweepEngine::run_ids_fast`]
-    /// chunk unit. Consecutive ids cost exactly what a contiguous chunk
-    /// does (the diff-based walk degenerates to the odometer); arbitrary
-    /// jumps just reapply a wider axis suffix.
-    pub(crate) fn evaluate_ids(&self, ids: &[DesignId]) -> Vec<PointEval> {
+    /// Evaluate design ids (in list order) through the three-pass
+    /// pipeline — the engine's chunk unit. Consecutive ids walk the
+    /// odometer; arbitrary jumps just reapply a wider axis suffix.
+    pub(crate) fn evaluate(&self, ids: &[DesignId]) -> Vec<PointEval> {
         Worker::new(self).ids(ids)
     }
 }
 
-/// One layer's slab bookkeeping: which query slot prices it and the
-/// scalar path's exact scaling constants.
+/// One layer's slab bookkeeping.
 struct SlabLayer {
-    /// Index into the owning [`LayerTable`]'s query slots.
-    slot: usize,
+    /// The query slot pricing an FP16 layer; `None` for an INT layer,
+    /// which costs a fixed `int_cycles` per instance.
+    slot: Option<usize>,
+    int_cycles: u64,
     steps_f: f64,
     sampled_f: f64,
     /// Layer multiplicity, pre-widened for the u64 total.
     weight: u64,
 }
 
-/// Per-(workload, tile geometry, n_tiles) evaluation skeleton — every
-/// design-point quantity that does not depend on `w`, precision,
-/// clustering, buffering, or distributions.
+/// `(workload, tile c/k/h/w unroll + n_tiles, schedule)` — what a
+/// [`LayerTable`] depends on.
+type TableKey = (usize, [usize; 5], Option<usize>);
+
+/// Per-(workload, tile geometry, n_tiles, schedule) evaluation skeleton
+/// — every design-point quantity that does not depend on `w`,
+/// precision, clustering, buffering, or distributions.
 struct LayerTable {
     layers: Vec<SlabLayer>,
-    /// Distinct query slots as `(window, seed)`. Seed-blind backends
-    /// share one slot per distinct window; seed-sensitive backends get
-    /// one slot per layer, reproducing the scalar query stream exactly.
+    /// Distinct query slots of the FP16 layers as `(window, seed)`.
+    /// Seed-blind backends share one slot per distinct window;
+    /// seed-sensitive backends get one slot per FP16 layer, reproducing
+    /// the simulator's query stream exactly.
     slots: Vec<(usize, u64)>,
     total_baseline: u64,
+    /// FP16 share of baseline work (1.0 for an unscheduled point).
+    fp_fraction: f64,
 }
 
 impl LayerTable {
     fn build(
         design: &SimDesign,
         workload: &Workload,
+        schedule: Option<&[LayerPrecision]>,
         opts: &SimOptions,
         seed_blind: bool,
     ) -> LayerTable {
         let mut layers = Vec::with_capacity(workload.layers.len());
         let mut slots: Vec<(usize, u64)> = Vec::new();
-        let mut total_baseline = 0u64;
+        let (mut total_baseline, mut fp_baseline) = (0u64, 0u64);
         for (li, &(shape, multiplicity)) in workload.layers.iter().enumerate() {
             let steps = layer_steps(design, &shape);
             let sampled = (steps as usize).min(opts.sample_steps).max(1);
-            let seed = opts.seed ^ (li as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let slot = if seed_blind {
-                match slots.iter().position(|&(w, _)| w == sampled) {
-                    Some(s) => s,
-                    None => {
-                        slots.push((sampled, seed));
-                        slots.len() - 1
+            let weight = multiplicity as u64;
+            let (slot, int_cycles, baseline) =
+                match schedule.map_or(LayerPrecision::Fp16, |s| s[li]) {
+                    // No alignment stalls: an INT layer is its own baseline.
+                    LayerPrecision::Int { ka, kb } => {
+                        let cycles = steps * u64::from(ka * kb);
+                        (None, cycles, cycles)
                     }
-                }
-            } else {
-                slots.push((sampled, seed));
-                slots.len() - 1
-            };
+                    LayerPrecision::Fp16 => {
+                        let seed = opts.seed ^ (li as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        let slot = match slots.iter().position(|&(w, _)| w == sampled) {
+                            Some(s) if seed_blind => s,
+                            _ => {
+                                slots.push((sampled, seed));
+                                slots.len() - 1
+                            }
+                        };
+                        let baseline = steps * u64::from(BASELINE_CYCLES_PER_STEP);
+                        fp_baseline += baseline * weight;
+                        (Some(slot), 0, baseline)
+                    }
+                };
+            total_baseline += baseline * weight;
+            let (steps_f, sampled_f) = (steps as f64, sampled as f64);
             layers.push(SlabLayer {
                 slot,
-                steps_f: steps as f64,
-                sampled_f: sampled as f64,
-                weight: multiplicity as u64,
+                int_cycles,
+                steps_f,
+                sampled_f,
+                weight,
             });
-            total_baseline += steps * u64::from(BASELINE_CYCLES_PER_STEP) * multiplicity as u64;
         }
+        let fp_fraction = match schedule {
+            None => 1.0,
+            Some(_) => fp_baseline as f64 / total_baseline.max(1) as f64,
+        };
         LayerTable {
             layers,
             slots,
             total_baseline,
+            fp_fraction,
         }
+    }
+
+    /// A point's total cycles from its slots' window cycles: per-layer
+    /// `(window_cycles · steps / sampled)` rounding in the simulator's
+    /// op order, summed as u64 in layer order.
+    fn total(&self, window_cycles: &[f64]) -> u64 {
+        self.layers
+            .iter()
+            .map(|l| {
+                let cycles = match l.slot {
+                    Some(slot) => (window_cycles[slot] * l.steps_f / l.sampled_f).round() as u64,
+                    None => l.int_cycles,
+                };
+                cycles * l.weight
+            })
+            .sum()
     }
 }
 
@@ -222,8 +250,11 @@ struct Pending {
 struct Worker<'p, 's> {
     plan: &'p SlabPlan<'s>,
     workloads: Vec<(Vec<usize>, Arc<Workload>)>,
-    tables: Vec<((usize, [usize; 5]), LayerTable)>,
+    tables: Vec<LayerTable>,
+    table_ids: HashMap<TableKey, usize>,
     factors: HashMap<(u32, usize, bool), MetricsFactors>,
+    /// Materialized schedules, consecutive duplicates shared.
+    schedules: Vec<Vec<LayerPrecision>>,
 }
 
 impl<'p, 's> Worker<'p, 's> {
@@ -232,7 +263,9 @@ impl<'p, 's> Worker<'p, 's> {
             plan,
             workloads: Vec::new(),
             tables: Vec::new(),
+            table_ids: HashMap::new(),
             factors: HashMap::new(),
+            schedules: Vec::new(),
         }
     }
 
@@ -256,30 +289,33 @@ impl<'p, 's> Worker<'p, 's> {
         }
     }
 
-    fn table_id(&mut self, wid: usize, design: &SimDesign) -> usize {
-        let key = (
-            wid,
-            [
-                design.tile.c_unroll,
-                design.tile.k_unroll,
-                design.tile.h_unroll,
-                design.tile.w_unroll,
-                design.n_tiles,
-            ],
-        );
-        match self.tables.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                let table = LayerTable::build(
-                    design,
-                    &self.workloads[wid].1,
-                    &self.plan.opts,
-                    self.plan.seed_blind,
-                );
-                self.tables.push((key, table));
-                self.tables.len() - 1
-            }
+    fn table_id(&mut self, key: TableKey, design: &SimDesign) -> usize {
+        if let Some(&t) = self.table_ids.get(&key) {
+            return t;
         }
+        let (wid, _, schedule) = key;
+        self.tables.push(LayerTable::build(
+            design,
+            &self.workloads[wid].1,
+            schedule.map(|s| self.schedules[s].as_slice()),
+            &self.plan.opts,
+            self.plan.seed_blind,
+        ));
+        self.table_ids.insert(key, self.tables.len() - 1);
+        self.tables.len() - 1
+    }
+
+    /// Materialize the scenario's schedule against workload `wid` (the
+    /// plan checked that every schedule fits).
+    fn schedule_id(&mut self, wid: usize, scenario: &Scenario) -> Option<usize> {
+        let schedule = scenario
+            .precision_schedule()?
+            .try_materialize(&self.workloads[wid].1)
+            .expect("schedules checked by SlabPlan::new");
+        if self.schedules.last() != Some(&schedule) {
+            self.schedules.push(schedule);
+        }
+        Some(self.schedules.len() - 1)
     }
 
     fn ids(mut self, ids: &[DesignId]) -> Vec<PointEval> {
@@ -299,11 +335,12 @@ impl<'p, 's> Worker<'p, 's> {
         // Axes whose values touch exactly one field of the derived
         // evaluation inputs: a distribution override swaps `dists`, a
         // buffer-depth move rewrites `tile.buffer_depth` (`layer_steps`,
-        // the table key, and the metrics factors are all blind to both).
-        // For the contiguous *tail* of such axes, every point patches
-        // the value onto `Derived` directly — writing the very value
-        // `Axis::apply` would have pushed through the scenario — so the
-        // odometer never has to apply or reapply a fast-tail axis.
+        // the table key, the schedule, and the metrics factors are all
+        // blind to both). For the contiguous *tail* of such axes, every
+        // point patches the value onto `Derived` directly — writing the
+        // very value `Axis::apply` would have pushed through the
+        // scenario — so the odometer never has to apply or reapply a
+        // fast-tail axis.
         enum FastAxis<'a> {
             Dists(&'a [(Distribution, Distribution)]),
             Buffer(&'a [usize]),
@@ -331,9 +368,9 @@ impl<'p, 's> Worker<'p, 's> {
         }
 
         // Pass 1 — gather. No per-point `try_lower`: the plan already
-        // proved the space schedule-free, and no axis can touch the
-        // sampling options, so `Scenario::design` plus the distribution
-        // override is the whole lowering.
+        // checked every schedule, and no axis can touch the sampling
+        // options, so `Scenario::design`, the distribution override, and
+        // the materialized schedule are the whole lowering.
         // Seed-blind single-window points gather one query each, so the
         // chunk's point count is almost always the exact slab length.
         let mut queries: Vec<CostQuery> = Vec::with_capacity(ids.len());
@@ -342,7 +379,7 @@ impl<'p, 's> Worker<'p, 's> {
         // `PointEval`s share — no per-point coordinate allocation.
         let mut coord_slab: Vec<usize> = Vec::with_capacity(ids.len() * n);
         let mut derived: Option<Derived> = None;
-        let mut last_table: Option<((usize, [usize; 5]), usize)> = None;
+        let mut last_table: Option<(TableKey, usize)> = None;
         let mut last_factors: Option<((u32, usize, bool), MetricsFactors)> = None;
         // First axis whose coordinate changed since the previous point
         // (everything, for the chunk's first point).
@@ -375,11 +412,12 @@ impl<'p, 's> Worker<'p, 's> {
                             design.tile.w_unroll,
                             design.n_tiles,
                         ],
+                        self.schedule_id(wid, scenario),
                     );
                     let table = match last_table {
                         Some((k, t)) if k == tkey => t,
                         _ => {
-                            let t = self.table_id(wid, &design);
+                            let t = self.table_id(tkey, &design);
                             last_table = Some((tkey, t));
                             t
                         }
@@ -416,7 +454,7 @@ impl<'p, 's> Worker<'p, 's> {
                 }
             };
             let qbase = queries.len();
-            for &(window, seed) in &self.tables[d.table].1.slots {
+            for &(window, seed) in &self.tables[d.table].slots {
                 queries.push(CostQuery {
                     tile: d.design.tile,
                     w: d.design.w,
@@ -443,7 +481,7 @@ impl<'p, 's> Worker<'p, 's> {
                 // id diffs to `changed == n` and reuses `Derived`
                 // untouched.)
                 let mut rank = ids[k + 1].0;
-                debug_assert!(rank < plan.space.len(), "slab id in range");
+                assert!(rank < plan.space.len(), "slab id in range");
                 for (slot, axis) in next.iter_mut().zip(axes).rev() {
                     let radix = axis.len() as u64;
                     *slot = (rank % radix) as usize;
@@ -464,17 +502,20 @@ impl<'p, 's> Worker<'p, 's> {
             }
         }
 
-        // Pass 2 — one batched estimate for the whole chunk.
+        // Pass 2 — one batched estimate for the whole chunk (an all-INT
+        // chunk has nothing to price).
         let mut cycles = vec![0.0f64; queries.len()];
-        plan.backend.estimate_batch(&queries, &mut cycles);
+        if !queries.is_empty() {
+            plan.backend.estimate_batch(&queries, &mut cycles);
+        }
 
-        // Pass 3 — scatter back into PointEvals with the scalar
-        // arithmetic, op for op. The layer total is a pure function of
+        // Pass 3 — scatter back into PointEvals with the simulator's
+        // arithmetic, op for op. A point's total is a pure function of
         // (table, per-slot cycles); buffer-depth and n-tiles moves leave
         // the cycles untouched, so the query stream revisits the same
         // few inputs back to back — a two-deep memo (the stream
         // alternates fwd/bwd distributions) skips the layer loop for
-        // all but the first sighting of each value.
+        // all but the first sighting of each single-slot value.
         let mut totals: [TotalsMemoSlot; 2] = [None, None];
         let points = pending.len();
         let coord_rows = crate::engine::Coords::rows(coord_slab.into(), points);
@@ -483,33 +524,26 @@ impl<'p, 's> Worker<'p, 's> {
             .zip(coord_rows)
             .enumerate()
             .map(|(i, (p, coords))| {
-                let table = &self.tables[p.table].1;
-                let key = (p.table, cycles[p.qbase].to_bits());
+                let table = &self.tables[p.table];
+                // An all-INT point has no slot to key on.
                 let memoable = table.slots.len() == 1;
+                let key = (p.table, memoable.then(|| cycles[p.qbase].to_bits()));
                 let hit = if !memoable {
                     None
-                } else if matches!(totals[0], Some((t, b, _)) if (t, b) == key) {
+                } else if matches!(totals[0], Some((t, b, _)) if (t, Some(b)) == key) {
                     totals[0].map(|(_, _, r)| r)
-                } else if matches!(totals[1], Some((t, b, _)) if (t, b) == key) {
+                } else if matches!(totals[1], Some((t, b, _)) if (t, Some(b)) == key) {
                     totals.swap(0, 1);
                     totals[0].map(|(_, _, r)| r)
                 } else {
                     None
                 };
                 let (total, normalized) = hit.unwrap_or_else(|| {
-                    let mut total = 0u64;
-                    for l in &table.layers {
-                        let window_cycles = cycles[p.qbase + l.slot];
-                        // Scale the estimation window to the layer's true
-                        // step count — identical op order to the scalar
-                        // simulator, then the same u64 multiplicity total.
-                        let layer_cycles = (window_cycles * l.steps_f / l.sampled_f).round() as u64;
-                        total += layer_cycles * l.weight;
-                    }
+                    let total = table.total(&cycles[p.qbase..]);
                     let normalized = total as f64 / table.total_baseline.max(1) as f64;
-                    if memoable {
+                    if let (t, Some(b)) = key {
                         totals.swap(0, 1);
-                        totals[0] = Some((key.0, key.1, (total, normalized)));
+                        totals[0] = Some((t, b, (total, normalized)));
                     }
                     (total, normalized)
                 });
@@ -520,7 +554,7 @@ impl<'p, 's> Worker<'p, 's> {
                     cycles: total,
                     baseline_cycles: table.total_baseline,
                     normalized,
-                    fp_fraction: 1.0,
+                    fp_fraction: table.fp_fraction,
                     metrics: p.factors.at(normalized.max(1.0)),
                 }
             })

@@ -9,6 +9,7 @@
 
 use crate::axis::Axis;
 use mpipu::Scenario;
+use mpipu_sim::{LayerPrecision, Schedule, ScheduleError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -218,6 +219,46 @@ impl ParamSpace {
         Some(DesignId(rank))
     }
 
+    /// Check that every point's precision schedule — from the last
+    /// [`Axis::Schedule`] / [`Axis::ScheduleMask`] axis, else the base
+    /// scenario — assigns exactly one precision per layer of every
+    /// workload the [`Axis::Workload`] / [`Axis::Pass`] axes reach (a
+    /// mask axis by its width, never by enumeration). The sweep engine
+    /// refuses spaces that fail; hosts taking spaces from users (the
+    /// daemon) call this to reject them up front.
+    pub fn check_schedules(&self) -> Result<(), ScheduleError> {
+        let last = self.axes.iter().rev().find_map(|a| match a {
+            Axis::Schedule(v) => Some(v.clone()),
+            Axis::ScheduleMask { layers } => Some(vec![Schedule::Custom(vec![
+                LayerPrecision::Fp16;
+                *layers as usize
+            ])]),
+            _ => None,
+        });
+        let base = self.base.precision_schedule().map(|s| vec![s.clone()]);
+        let Some(schedules) = last.or(base) else {
+            return Ok(());
+        };
+        let mut reached = vec![self.base.clone()];
+        for axis in self
+            .axes
+            .iter()
+            .filter(|a| matches!(a, Axis::Workload(_) | Axis::Pass(_)))
+        {
+            reached = reached
+                .iter()
+                .flat_map(|s| (0..axis.len()).map(|i| axis.apply(i, s.clone())))
+                .collect();
+        }
+        for scenario in &reached {
+            let workload = scenario.resolve_workload();
+            for schedule in &schedules {
+                schedule.try_materialize(&workload)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Draw `count` *distinct* design ids uniformly at random (without
     /// replacement — duplicates would waste backend queries), seeded and
     /// therefore reproducible. Uses Floyd's algorithm, so the cost is
@@ -337,6 +378,37 @@ mod tests {
         assert_eq!(table.width(), 2);
         assert_eq!(&*table.label(0, 1), "16");
         assert_eq!(&*table.label(1, 0x1a2b), s.axes()[1].label(0x1a2b));
+    }
+
+    #[test]
+    fn schedules_are_checked_against_every_reached_workload() {
+        use mpipu_sim::{LayerPrecision, Schedule};
+        let base = Scenario::small_tile().workload(Zoo::ResNet18); // 12 layers
+        assert_eq!(space().check_schedules(), Ok(()));
+        let mask = |layers| ParamSpace::new(base.clone()).axis(Axis::schedule_mask(layers));
+        assert_eq!(mask(12).check_schedules(), Ok(()));
+        let err = mask(5).check_schedules().unwrap_err();
+        assert_eq!((err.got, err.expected), (5, 12));
+        assert!(err.to_string().contains("one precision per layer"), "{err}");
+
+        // A custom schedule fitting one workload of a workload axis but
+        // not the other is caught; the last schedule axis wins.
+        let custom = Schedule::Custom(vec![LayerPrecision::Fp16; 5]);
+        let two =
+            ParamSpace::new(base.clone().schedule(custom.clone())).axis(Axis::workload(vec![
+                WorkloadSel::Synthetic(8, 7, 4),
+                WorkloadSel::Zoo(Zoo::ResNet18),
+            ]));
+        let err = two.check_schedules().unwrap_err();
+        assert_eq!((err.got, err.expected), (5, 12));
+        let overridden = two
+            .clone()
+            .axis(Axis::schedule(vec![Schedule::FirstLastFp16]));
+        assert_eq!(overridden.check_schedules(), Ok(()));
+        assert!(overridden
+            .axis(Axis::schedule(vec![custom]))
+            .check_schedules()
+            .is_err());
     }
 
     #[test]

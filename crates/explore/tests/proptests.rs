@@ -1,8 +1,8 @@
 //! Property tests for the Pareto fold — the frontier is a subset of the
 //! input, contains no dominated point, and is invariant under input
-//! permutation — and for the sweep engine's slab fast path, which must
-//! be bit-identical to scalar point-by-point evaluation over arbitrary
-//! parameter spaces and chunk boundaries.
+//! permutation — and for the sweep engine, whose slab evaluation must be
+//! bit-identical to a per-point `Scenario::run` oracle over arbitrary
+//! parameter spaces, id sources, and chunk boundaries.
 
 use mpipu_explore::{pareto_front, FrontierPoint, Objective, ParetoFold, PointEval, Sense};
 use mpipu_explore::{DesignId, Fold, ParamSpace, ShardMerge, TopK, UnitFold};
@@ -290,60 +290,153 @@ proptest! {
     }
 }
 
+/// The per-point reference evaluator: lower one design point and run it
+/// on its own through `Scenario::run`, on the sweep's shared backend.
+/// This is what the engine did per point before every space went through
+/// the slab evaluator; the engine must match it bit for bit.
+fn oracle(
+    space: &ParamSpace,
+    backend: &std::sync::Arc<dyn mpipu_sim::CostBackend>,
+    id: DesignId,
+) -> PointEval {
+    let spec = space.point(id).expect("design id in range");
+    let scenario = spec.scenario.cost_backend(backend.clone());
+    let r = scenario.run();
+    let normalized = r.normalized();
+    PointEval {
+        id,
+        coords: spec.coords.into(),
+        label_table: space.label_table(),
+        cycles: r.result.total_cycles(),
+        baseline_cycles: r.result.total_baseline_cycles(),
+        normalized,
+        fp_fraction: r.fp_fraction,
+        metrics: scenario.metrics(normalized),
+    }
+}
+
+/// Every field of two evaluations, bit for bit.
+fn same_eval(a: &PointEval, b: &PointEval) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.id, b.id);
+    prop_assert_eq!(&a.coords, &b.coords);
+    prop_assert_eq!(
+        a.labels().collect::<Vec<_>>(),
+        b.labels().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(a.cycles, b.cycles, "id {:?}", a.id);
+    prop_assert_eq!(a.baseline_cycles, b.baseline_cycles);
+    prop_assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
+    prop_assert_eq!(a.fp_fraction.to_bits(), b.fp_fraction.to_bits());
+    let bits = |e: &PointEval| {
+        [
+            e.metrics.int_tops_per_mm2.to_bits(),
+            e.metrics.int_tops_per_w.to_bits(),
+            e.metrics.fp_tflops_per_mm2.to_bits(),
+            e.metrics.fp_tflops_per_w.to_bits(),
+        ]
+    };
+    prop_assert_eq!(bits(a), bits(b));
+    Ok(())
+}
+
+/// A four-layer workload whose sampling windows differ (8, 2, 2, 1 at
+/// 8 sampled steps on the small tile) and whose layers repeat — so
+/// seed-blind windows collapse across layers and multiplicities weigh
+/// the totals.
+fn four_layer_workload() -> mpipu_dnn::zoo::Workload {
+    use mpipu_dnn::shape::ConvShape;
+    use mpipu_dnn::zoo::{Network, Pass, Workload};
+    Workload {
+        network: Network::Synthetic,
+        pass: Pass::Forward,
+        layers: vec![
+            (ConvShape::square(8, 8, 3, 4, 1), 1),
+            (ConvShape::fc(8, 64), 2),
+            (ConvShape::square(16, 8, 1, 2, 1), 1),
+            (ConvShape::fc(8, 10), 3),
+        ],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// ISSUE 7: `SweepEngine::run`'s slab fast path (whole chunks
-    /// gathered into one `estimate_batch` call) is bit-identical to the
-    /// scalar reference path (`run_ids`, which evaluates point by
-    /// point) over arbitrary axis combinations, chunk boundaries,
-    /// thread counts, and backends — batched, scalar analytic, memoized,
-    /// and the seed-sensitive Monte-Carlo fallback.
+    /// The engine's three entry points — `run`, `run_range` and
+    /// `run_ids` — evaluate every point bit-identically to the per-point
+    /// oracle over arbitrary axes (schedules and schedule masks
+    /// included), id ranges and lists, chunk boundaries, thread counts,
+    /// and backends: batched, scalar analytic, memoized, and the
+    /// seed-sensitive Monte-Carlo backend.
     #[test]
     fn slab_sweep_is_bit_identical_to_scalar_reference(
-        w_mask in 1usize..32,
-        cluster_mask in 1usize..8,
+        w_mask in 1usize..8,
+        cluster_mask in 1usize..4,
         swp_mask in 1usize..4,
         pass_mask in 1usize..4,
         with_dist_axis in any::<bool>(),
+        schedule_sel in 0usize..3,
+        schedule_mask in 1usize..32,
+        custom_bits in any::<u16>(),
+        deep in any::<bool>(),
         backend_sel in 0usize..4,
+        range in (any::<u64>(), any::<u64>()),
+        picks in prop::collection::vec(any::<u64>(), 0..30),
         chunk in 1usize..=7,
         threads in 1usize..=4,
     ) {
         use mpipu::{Backend, Scenario, Zoo};
         use mpipu_analysis::dist::Distribution;
         use mpipu_dnn::zoo::Pass;
-        use mpipu_explore::{Axis, Collect, NullSweepSink, ParamSpace, SweepEngine};
+        use mpipu_explore::{Axis, Collect, NullSweepSink, SweepEngine};
+        use mpipu_sim::{LayerPrecision, Schedule};
 
-        /// The non-empty subset of `all` selected by the mask's bits.
-        fn masked<T: Copy>(all: &[T], mask: usize) -> Vec<T> {
-            all.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &v)| v)
-                .collect()
-        }
-
-        let ws = masked(&[8u32, 12, 16, 25, 38], w_mask);
-        let clusters = masked(&[1usize, 2, 8], cluster_mask);
-        let swps = masked(&[16u32, 28], swp_mask);
-        let passes = masked(&[Pass::Forward, Pass::Backward], pass_mask);
         let backend = [
             Backend::AnalyticBatched,
             Backend::Analytic,
             Backend::MemoizedAnalytic,
             Backend::MonteCarlo,
-        ][backend_sel];
-        let mut space = ParamSpace::new(
-            Scenario::small_tile()
-                .workload(Zoo::ResNet18)
-                .sample_steps(8)
-                .backend(backend),
-        )
-        .axis(Axis::w(ws))
-        .axis(Axis::cluster(clusters))
-        .axis(Axis::software_precision(swps))
-        .axis(Axis::pass(passes));
+        ][backend_sel]
+        .instantiate();
+        // A 2^layers mask axis only on the four-layer workload; the
+        // schedule list on either.
+        let deep = deep && schedule_sel != 2;
+        let base = Scenario::small_tile().sample_steps(8).cost_backend(backend.clone());
+        let (base, layers) = if deep {
+            (base.workload(Zoo::ResNet18), 12)
+        } else {
+            (base.custom_workload(four_layer_workload()), 4)
+        };
+        let custom: Vec<LayerPrecision> = (0..layers)
+            .map(|l| match (custom_bits >> l) & 1 {
+                1 => LayerPrecision::Fp16,
+                _ => LayerPrecision::Int { ka: 1 + (l as u32 % 2), kb: 1 },
+            })
+            .collect();
+        let schedules = vec![
+            Schedule::FirstLastFp16,
+            Schedule::Uniform(LayerPrecision::Int { ka: 1, kb: 1 }),
+            Schedule::Uniform(LayerPrecision::Int { ka: 2, kb: 2 }),
+            Schedule::Uniform(LayerPrecision::Fp16),
+            Schedule::Custom(custom),
+        ];
+
+        let mut space = ParamSpace::new(base)
+            .axis(Axis::w(masked(&[8u32, 16, 38], w_mask)))
+            .axis(Axis::cluster(masked(&[1usize, 8], cluster_mask)))
+            .axis(Axis::software_precision(masked(&[16u32, 28], swp_mask)))
+            .axis(Axis::pass(masked(&[Pass::Forward, Pass::Backward], pass_mask)));
+        space = match schedule_sel {
+            1 => space.axis(Axis::schedule(
+                schedules
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| schedule_mask & (1 << i) != 0)
+                    .map(|(_, s)| s)
+                    .collect(),
+            )),
+            2 => space.axis(Axis::schedule_mask(layers as u32)),
+            _ => space,
+        };
         if with_dist_axis {
             space = space.axis(Axis::distributions(vec![(
                 Distribution::Normal { std: 1.0 },
@@ -351,39 +444,35 @@ proptest! {
             )]));
         }
 
-        let engine = SweepEngine::new().threads(threads).chunk_size(chunk);
-        let slab = engine.run(&space, Collect::new(), &NullSweepSink);
-        let ids: Vec<DesignId> = (0..space.len()).map(DesignId).collect();
-        let scalar = engine.run_ids(&space, &ids, Collect::new(), &NullSweepSink);
+        let len = space.len();
+        let want: Vec<PointEval> = (0..len).map(|i| oracle(&space, &backend, DesignId(i))).collect();
+        let engine = SweepEngine::new()
+            .threads(threads)
+            .chunk_size(chunk)
+            .backend(backend.clone());
 
-        prop_assert_eq!(slab.len(), scalar.len());
-        for (a, b) in slab.iter().zip(&scalar) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(&a.coords, &b.coords);
-            prop_assert_eq!(
-                a.labels().collect::<Vec<_>>(),
-                b.labels().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(a.cycles, b.cycles, "id {:?}", a.id);
-            prop_assert_eq!(a.baseline_cycles, b.baseline_cycles);
-            prop_assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
-            prop_assert_eq!(a.fp_fraction.to_bits(), b.fp_fraction.to_bits());
-            prop_assert_eq!(
-                a.metrics.int_tops_per_mm2.to_bits(),
-                b.metrics.int_tops_per_mm2.to_bits()
-            );
-            prop_assert_eq!(
-                a.metrics.int_tops_per_w.to_bits(),
-                b.metrics.int_tops_per_w.to_bits()
-            );
-            prop_assert_eq!(
-                a.metrics.fp_tflops_per_mm2.to_bits(),
-                b.metrics.fp_tflops_per_mm2.to_bits()
-            );
-            prop_assert_eq!(
-                a.metrics.fp_tflops_per_w.to_bits(),
-                b.metrics.fp_tflops_per_w.to_bits()
-            );
+        let all = engine.run(&space, Collect::new(), &NullSweepSink);
+        prop_assert_eq!(all.len(), want.len());
+        for (a, b) in all.iter().zip(&want) {
+            same_eval(a, b)?;
+        }
+
+        let (lo, hi) = {
+            let (a, b) = (range.0 % (len + 1), range.1 % (len + 1));
+            (a.min(b), a.max(b))
+        };
+        let stretch = engine.run_range(&space, lo, hi, Collect::new(), &NullSweepSink);
+        prop_assert_eq!(stretch.len() as u64, hi - lo);
+        for (a, b) in stretch.iter().zip(&want[lo as usize..hi as usize]) {
+            same_eval(a, b)?;
+        }
+
+        // Unsorted, duplicated, possibly empty.
+        let ids: Vec<DesignId> = picks.iter().map(|p| DesignId(p % len)).collect();
+        let listed = engine.run_ids(&space, &ids, Collect::new(), &NullSweepSink);
+        prop_assert_eq!(listed.len(), ids.len());
+        for (a, id) in listed.iter().zip(&ids) {
+            same_eval(a, &want[id.0 as usize])?;
         }
     }
 }
@@ -477,44 +566,6 @@ proptest! {
         prop_assert_eq!(exact(&out.frontier), exact(&reference));
         for (a, b) in out.frontier.iter().zip(&reference) {
             prop_assert_eq!(&a.labels, &b.labels);
-        }
-    }
-
-    /// ISSUE 10: `run_ids_fast` (the slab path over explicit id lists)
-    /// is bit-identical to the scalar reference `run_ids` for arbitrary
-    /// id lists — unsorted, duplicated, empty — across chunk sizes and
-    /// thread counts.
-    #[test]
-    fn run_ids_fast_matches_run_ids_on_arbitrary_lists(
-        w_mask in 1usize..32,
-        cluster_mask in 1usize..16,
-        picks in prop::collection::vec(any::<u64>(), 0..30),
-        chunk in 1usize..=7,
-        threads in 1usize..=4,
-    ) {
-        use mpipu_explore::{Collect, NullSweepSink, SweepEngine};
-
-        let space = small_space(w_mask, cluster_mask);
-        let ids: Vec<DesignId> = picks.iter().map(|p| DesignId(p % space.len())).collect();
-        let engine = SweepEngine::new().threads(threads).chunk_size(chunk);
-        let fast = engine.run_ids_fast(&space, &ids, Collect::new(), &NullSweepSink);
-        let scalar = engine.run_ids(&space, &ids, Collect::new(), &NullSweepSink);
-
-        prop_assert_eq!(fast.len(), scalar.len());
-        for (a, b) in fast.iter().zip(&scalar) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(&a.coords, &b.coords);
-            prop_assert_eq!(a.cycles, b.cycles);
-            prop_assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
-            prop_assert_eq!(a.fp_fraction.to_bits(), b.fp_fraction.to_bits());
-            prop_assert_eq!(
-                a.metrics.int_tops_per_mm2.to_bits(),
-                b.metrics.int_tops_per_mm2.to_bits()
-            );
-            prop_assert_eq!(
-                a.metrics.fp_tflops_per_w.to_bits(),
-                b.metrics.fp_tflops_per_w.to_bits()
-            );
         }
     }
 }

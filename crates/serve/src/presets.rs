@@ -2,7 +2,7 @@
 //! and the end-to-end tests.
 
 use crate::request::{
-    AxisSpec, DistSpec, PassSel, SampleSpec, ScenarioSpec, SearchReq, SweepReq, TileSel, TopKSpec,
+    AxisSpec, DistSpec, PassSel, ScenarioSpec, SearchReq, SweepReq, TileSel, TopKSpec,
     WorkloadSpec, ZooSel,
 };
 use mpipu_explore::{grid_u32, log2_range};
@@ -72,17 +72,6 @@ pub fn frontier_sweep(scale: f64) -> SweepReq {
     }
 }
 
-/// A sampled (scalar-path) variant of the frontier sweep: `count`
-/// seeded draws from the same grid. Sampled sweeps skip the slab fast
-/// path, so per-point cost is much higher — the load-test's "slow
-/// sweep" class.
-pub fn sampled_frontier_sweep(scale: f64, count: usize, seed: u64) -> SweepReq {
-    SweepReq {
-        sample: Some(SampleSpec { count, seed }),
-        ..frontier_sweep(scale)
-    }
-}
-
 /// The memoization stress grid: 11,780 points where *every* axis value
 /// changes the cost-model cache key (tile × W × software precision ×
 /// cluster × distribution pair), so a cold sweep pays one alignment DP
@@ -148,7 +137,7 @@ pub fn schedule_search(layers: u32) -> SearchReq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Request;
+    use crate::request::{Request, SampleSpec};
 
     #[test]
     fn schedule_search_round_trips_and_dwarfs_any_sweep_budget() {
@@ -166,7 +155,13 @@ mod tests {
         let frontier = frontier_sweep(1.0);
         assert_eq!(frontier.points(), 14_880);
         assert_eq!(frontier.to_space().len(), 14_880);
-        let sampled = sampled_frontier_sweep(0.02, 100, 7);
+        let sampled = SweepReq {
+            sample: Some(SampleSpec {
+                count: 100,
+                seed: 7,
+            }),
+            ..frontier_sweep(0.02)
+        };
         assert_eq!(sampled.points(), 100);
         let cold = cold_grid_sweep();
         assert_eq!(cold.points(), 2 * 31 * 19 * 5 * 2);

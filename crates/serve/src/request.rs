@@ -21,9 +21,9 @@
 //! and a dists-axis entry may be the shorthand `"fwd"`/`"bwd"` for the
 //! pass-derived distribution pair.
 //!
-//! The `schedule` axis is deliberately *not* in wire v1: schedules
-//! disable the engine's slab fast path and carry an open-ended policy
-//! type; a scheduled sweep stays an in-process (library) affair.
+//! The `schedule` axis is deliberately *not* in wire v1: it carries an
+//! open-ended policy type, so a policy-scheduled sweep stays an
+//! in-process (library) affair (`schedule_mask` is on the wire).
 
 use mpipu::{Scenario, Zoo};
 use mpipu_analysis::dist::Distribution;
@@ -851,8 +851,8 @@ impl AxisSpec {
 }
 
 /// Random subsampling of the declared space, wire form
-/// `{"count": N, "seed": S}` (uniform with replacement; the scalar
-/// engine path).
+/// `{"count": N, "seed": S}` (uniform without replacement — see
+/// [`ParamSpace::sample_ids`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleSpec {
     /// Number of sampled points.
@@ -895,7 +895,7 @@ pub struct SweepReq {
     pub objectives: Vec<String>,
     /// Optional top-k selection alongside the frontier.
     pub top_k: Option<TopKSpec>,
-    /// Optional random subsampling (scalar path).
+    /// Optional seeded subsampling (distinct points, ascending ids).
     pub sample: Option<SampleSpec>,
     /// Client-side point budget (min'd with the server's).
     pub max_points: Option<u64>,

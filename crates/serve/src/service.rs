@@ -31,8 +31,8 @@ use mpipu_bench::json::Json;
 use mpipu_bench::registry::Registry;
 use mpipu_bench::sweep_wire::sweep_event_json;
 use mpipu_explore::{
-    CancelToken, FnSink, Fold, FrontierPoint, NullSweepSink, ParamSpace, ParetoFold, PointEval,
-    SearchConfig, SearchEngine, SweepEngine, SweepEvent, TopK,
+    CancelToken, Collect, DesignId, FnSink, Fold, FrontierPoint, NullSweepSink, ParamSpace,
+    ParetoFold, PointEval, SearchConfig, SearchEngine, SweepEngine, SweepEvent, TopK,
 };
 use mpipu_sim::{AnalyticBatched, CacheStats, CostBackend, Memoized};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -374,9 +374,10 @@ impl Service {
         self.counters.evals.fetch_add(1, Ordering::Relaxed);
         let start = self.backend.cache_stats();
         let space = ParamSpace::new(req.scenario.to_scenario());
-        let engine = SweepEngine::new().backend(self.backend.clone());
-        let eval = engine
-            .evaluate(&space, mpipu_explore::DesignId(0))
+        let eval = SweepEngine::new()
+            .backend(self.backend.clone())
+            .run_ids(&space, &[DesignId(0)], Collect::new(), &NullSweepSink)
+            .pop()
             .ok_or_else(|| WireError::internal("empty parameter space"))?;
         self.emit_cache_delta(start.as_ref(), emit);
         emit(&wire::eval_result_json(
@@ -412,6 +413,7 @@ impl Service {
                 "sweep declares {points} points, budget is {budget}"
             )));
         }
+        let space = checked_space(req.to_space())?;
 
         // The wall-clock budget covers queueing too: derive the deadline
         // token before admission so a sweep cannot dodge its budget by
@@ -421,7 +423,6 @@ impl Service {
         let _permit = self.admission.acquire(&token)?;
         self.counters.sweeps.fetch_add(1, Ordering::Relaxed);
 
-        let space = req.to_space();
         let ticket = self.fair.ticket(token.clone());
         let start = self.backend.cache_stats();
         let finished = AtomicBool::new(false);
@@ -464,7 +465,7 @@ impl Service {
             emit,
         };
         let (front, top) = match &req.sample {
-            Some(s) => engine.run_sampled(&space, s.count, s.seed, fold, &sink),
+            Some(s) => engine.run_ids(&space, &space.sample_ids(s.count, s.seed), fold, &sink),
             None => engine.run(&space, fold, &sink),
         };
         self.emit_cache_delta(start.as_ref(), emit);
@@ -508,11 +509,11 @@ impl Service {
                 cfg.max_evals
             )));
         }
+        let space = checked_space(req.to_space())?;
         let token = self.deadline_token(cancel, req.max_ms);
         let _permit = self.admission.acquire(&token)?;
         self.counters.searches.fetch_add(1, Ordering::Relaxed);
 
-        let space = req.to_space();
         let space_points = req.space_points();
         let ticket = self.fair.ticket(token.clone());
         let start = self.backend.cache_stats();
@@ -583,6 +584,15 @@ impl Service {
     }
 }
 
+/// Refuse a space whose schedules do not fit its workloads (the engine
+/// would panic on it) as a `bad_request` carrying the schedule error.
+pub(crate) fn checked_space(space: ParamSpace) -> Result<ParamSpace, WireError> {
+    space
+        .check_schedules()
+        .map_err(|e| WireError::bad_request(e.to_string()))?;
+    Ok(space)
+}
+
 fn eval_outcome(eval: &PointEval) -> wire::EvalOutcome {
     wire::EvalOutcome {
         cycles: eval.cycles,
@@ -644,7 +654,7 @@ pub fn reference_sweep_result(req: &SweepReq, threads: usize) -> Result<Json, Wi
                 .ok_or_else(|| WireError::bad_request("unknown top_k objective"))
         })
         .transpose()?;
-    let space = req.to_space();
+    let space = checked_space(req.to_space())?;
     let backend: Arc<dyn CostBackend> = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
     let engine = SweepEngine::new()
         .threads(threads.max(1))
@@ -658,7 +668,12 @@ pub fn reference_sweep_result(req: &SweepReq, threads: usize) -> Result<Json, Wi
         emit: noop,
     };
     let (front, top) = match &req.sample {
-        Some(s) => engine.run_sampled(&space, s.count, s.seed, fold, &NullSweepSink),
+        Some(s) => engine.run_ids(
+            &space,
+            &space.sample_ids(s.count, s.seed),
+            fold,
+            &NullSweepSink,
+        ),
         None => engine.run(&space, fold, &NullSweepSink),
     };
     Ok(wire::sweep_result_json(
@@ -707,7 +722,7 @@ pub fn reference_search_result(req: &SearchReq, threads: usize) -> Result<Json, 
         .backend(backend);
     let out = SearchEngine::new(cfg)
         .engine(engine)
-        .run(&req.to_space(), &NullSweepSink);
+        .run(&checked_space(req.to_space())?, &NullSweepSink);
     Ok(wire::search_result_json(
         req.tag.as_deref(),
         req.space_points(),

@@ -5,9 +5,9 @@
 //! ([`mpipu_explore::partition_units`]); N worker **child processes**
 //! (the hidden `sweepctl worker` subcommand — the same JSONL
 //! line-in/lines-out dialect the daemon speaks, over stdin/stdout)
-//! each run claimed units through [`SweepEngine::run_range`] on the
-//! slab fast path; the coordinator folds finished units back in
-//! canonical unit order through [`mpipu_explore::ShardMerge`]. Because
+//! each run claimed units through [`SweepEngine::run_range`]; the
+//! coordinator folds finished units back in canonical unit order
+//! through [`mpipu_explore::ShardMerge`]. Because
 //! the merge is exact (see `crates/explore/src/shard.rs`), the sharded
 //! result line is **byte-identical** to the in-process engine's at any
 //! worker count.
@@ -385,7 +385,7 @@ pub fn run_sharded(
         ));
     }
     let fold = build_folds(req)?;
-    let space = req.to_space();
+    let space = crate::service::checked_space(req.to_space())?;
     let total = space.len();
     let unit_points = cfg.unit_points.max(1);
     let units = partition_units(total, unit_points);
@@ -538,6 +538,11 @@ pub fn run_sharded(
                     .map(|r| r.is_ok())
                     .unwrap_or(false);
                 if sent {
+                    if w.assigned.is_empty() {
+                        // Silence counts from the hand-off: a worker that
+                        // was idle is not stalled on work it just got.
+                        w.last_activity = Instant::now();
+                    }
                     w.assigned.push(unit);
                 } else {
                     queue.push_front(unit);
@@ -659,7 +664,7 @@ pub fn warm_start(memo: &Memoized, path: &std::path::Path) -> Result<(usize, usi
 /// via the unit partition + merge (so it exercises the same exactness
 /// contract without process management).
 pub fn run_units_in_process(req: &SweepReq, unit_points: u64) -> Result<Json, WireError> {
-    let space = req.to_space();
+    let space = crate::service::checked_space(req.to_space())?;
     let backend: Arc<dyn CostBackend> = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
     let engine = SweepEngine::new()
         .threads(1)

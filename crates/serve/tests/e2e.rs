@@ -83,6 +83,21 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
     assert!(!r.ok);
     assert_eq!(r.error().unwrap().0, "bad_request");
 
+    // Schedule masks that do not fit the default 12-layer ResNet-18 are
+    // refused before admission with the schedule error — no sweep starts.
+    for line in [
+        r#"{"req":"search","axes":[{"axis":"schedule_mask","layers":5}],"max_evals":16,"initial":8,"rungs":1}"#,
+        r#"{"req":"sweep","axes":[{"axis":"schedule_mask","layers":3}]}"#,
+    ] {
+        client.send_line(line).unwrap();
+        let r = client.collect_response().unwrap();
+        assert!(!r.ok, "{line}");
+        let (code, message) = r.error().unwrap();
+        assert_eq!(code, "bad_request", "{line}: {message}");
+        assert!(message.contains("one precision per layer"), "{message}");
+        assert!(r.find("sweep_started").is_none(), "{line} started a sweep");
+    }
+
     // Same connection still serves real requests.
     let r = client.request(&Request::List).unwrap();
     assert!(r.ok, "connection survives malformed lines");
@@ -174,18 +189,26 @@ fn eight_concurrent_clients_all_finish_with_fair_progress() {
         ..Limits::default()
     });
     let addr = server.local_addr();
-    // One big sampled sweep (scalar path, slow per point) plus seven
-    // small sweeps: fair-share scheduling must let every small sweep
-    // finish while the big one is still running.
-    let big = SweepReq {
+    // One big sampled sweep plus seven small sweeps: fair-share
+    // scheduling must let every small sweep finish while the big one is
+    // still running. The big sweep's size comes from its point count (a
+    // 100,000-point draw from a 126,480-point grid in small chunks), not
+    // from slow points, so it outlasts the small ones on any evaluation
+    // path.
+    let mut big = SweepReq {
         sample: Some(mpipu_serve::request::SampleSpec {
-            count: 3000,
+            count: 100_000,
             seed: 9,
         }),
         chunk: Some(8),
         tag: Some("big".to_string()),
         ..presets::frontier_sweep(0.02)
     };
+    for axis in &mut big.axes {
+        if let AxisSpec::SoftwarePrecision(v) = axis {
+            *v = (12..=28).collect();
+        }
+    }
     let small = small_sweep();
     std::thread::scope(|s| {
         let big_done = s.spawn(move || {
@@ -193,7 +216,7 @@ fn eight_concurrent_clients_all_finish_with_fair_progress() {
             let t = Instant::now();
             let r = client.request(&Request::Sweep(big)).expect("big sweep");
             assert!(r.ok, "{:?}", r.error());
-            t.elapsed()
+            (t.elapsed(), Instant::now())
         });
         // Give the big sweep a head start so it occupies the engine.
         std::thread::sleep(Duration::from_millis(50));
@@ -209,20 +232,29 @@ fn eight_concurrent_clients_all_finish_with_fair_progress() {
                     let t = Instant::now();
                     let r = client.request(&Request::Sweep(req)).expect("small sweep");
                     assert!(r.ok, "{:?}", r.error());
-                    t.elapsed()
+                    (t.elapsed(), Instant::now())
                 })
             })
             .collect::<Vec<_>>()
         {
             small_times.push(handle.join().expect("small client"));
         }
-        let big_time = big_done.join().expect("big client");
+        let (big_time, big_end) = big_done.join().expect("big client");
         // Starvation check: every small sweep (6 points) finished well
-        // before the big sampled sweep (3000 scalar points).
-        for t in &small_times {
+        // before the big sampled sweep (100,000 points).
+        for (t, _) in &small_times {
             assert!(
                 *t < big_time,
                 "small sweep took {t:?}, big took {big_time:?} — small sweeps were starved"
+            );
+        }
+        // The check above means something only if the big sweep was
+        // still running when the small ones finished.
+        for (_, end) in &small_times {
+            assert!(
+                *end < big_end,
+                "the big sweep finished {:?} before a small sweep did",
+                *end - big_end
             );
         }
     });

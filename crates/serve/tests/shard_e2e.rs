@@ -46,10 +46,15 @@ fn sharded_line(req: &SweepReq, cfg: &ShardConfig) -> String {
         .to_string_compact()
 }
 
-/// PIDs of this process's direct children whose command line mentions
-/// `worker` — the worker processes a concurrently running coordinator
-/// has spawned.
-fn worker_child_pids() -> Vec<u32> {
+/// An extra argument (ignored by `sweepctl worker`) marking the workers
+/// of the SIGKILL test. This file's tests share one process, so matching
+/// on `worker` alone could also hit another test's worker or the
+/// coordinator-kill test's `sweep local --workers 2` child.
+const KILL_MARK: &str = "sigkill-victim";
+
+/// PIDs of this process's direct children whose command line carries
+/// [`KILL_MARK`].
+fn marked_worker_pids() -> Vec<u32> {
     let me = std::process::id();
     let mut pids = Vec::new();
     let Ok(entries) = std::fs::read_dir("/proc") else {
@@ -76,7 +81,7 @@ fn worker_child_pids() -> Vec<u32> {
             continue;
         }
         let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
-        if String::from_utf8_lossy(&cmdline).contains("worker") {
+        if String::from_utf8_lossy(&cmdline).contains(KILL_MARK) {
             pids.push(pid);
         }
     }
@@ -121,16 +126,18 @@ fn sigkilled_worker_loses_its_units_to_the_survivor() {
         if killed.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Some(&pid) = worker_child_pids().last() {
+        if let Some(&pid) = marked_worker_pids().last() {
             sigkill(pid);
         }
         if let Some(Json::UInt(done)) = j.get("done") {
             done_at_kill.store(*done, Ordering::SeqCst);
         }
     };
+    let mut marked = worker_cmd();
+    marked.push(KILL_MARK.to_string());
     let cfg = ShardConfig {
         unit_points: 256, // 47 units: plenty outstanding at kill time
-        worker_cmds: Some(vec![worker_cmd(); 2]),
+        worker_cmds: Some(vec![marked; 2]),
         ..ShardConfig::default()
     };
     let got = run_sharded(&req, &cfg, &emit)
@@ -294,7 +301,9 @@ fn stalled_worker_is_stolen_from() {
     let stall = vec![
         "sh".to_string(),
         "-c".to_string(),
-        "read x; sleep 600".to_string(),
+        // `exec`: the coordinator's kill must reach the sleeper itself,
+        // or an orphaned `sleep` holds the test's inherited stderr open.
+        "read x; exec sleep 600".to_string(),
     ];
     let cfg = ShardConfig {
         unit_points: 64,

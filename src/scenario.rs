@@ -363,6 +363,12 @@ impl Scenario {
         self.dists
     }
 
+    /// The per-layer precision schedule, if one was set via
+    /// [`Scenario::schedule`] — `None` runs every layer FP16.
+    pub fn precision_schedule(&self) -> Option<&Schedule> {
+        self.schedule.as_ref()
+    }
+
     /// The hardware-model design point `(w, cluster, family)`.
     pub fn design_point(&self) -> DesignPoint {
         DesignPoint {
