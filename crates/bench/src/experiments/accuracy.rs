@@ -27,7 +27,7 @@ impl Experiment for Accuracy {
     }
 }
 use mpipu_dnn::synthetic::{gaussian_prototypes, Dataset};
-use mpipu_dnn::train::{accuracy_emulated, accuracy_f32, batch_accuracies_emulated, train, Mlp};
+use mpipu_dnn::train::{accuracy_f32, batch_top1, top1, train, Mlp};
 
 /// Parameters of the accuracy-vs-precision study.
 #[derive(Debug, Clone)]
@@ -106,12 +106,17 @@ pub fn run(cfg: &Config) -> Report {
             "batch_max",
         ],
     );
+    // One emulated pass per precision over weights decoded once; the
+    // overall and per-batch accuracies both reduce its per-sample
+    // correctness.
+    let decoded = model.decoded();
     for &p in &cfg.precisions {
         let ipu_cfg = IpuConfig::big(p)
             .with_acc(AccFormat::Fp32)
             .with_software_precision(p);
-        let acc = accuracy_emulated(&model, &test_set, ipu_cfg);
-        let batches = batch_accuracies_emulated(&model, &test_set, ipu_cfg, cfg.batch);
+        let correct = decoded.correct(&test_set, ipu_cfg);
+        let acc = top1(&correct);
+        let batches = batch_top1(&correct, cfg.batch);
         let bmin = batches.iter().cloned().fold(f64::INFINITY, f64::min);
         let bmax = batches.iter().cloned().fold(0.0f64, f64::max);
         table.push_row(vec![

@@ -116,7 +116,16 @@ impl IpuConfig {
             "adder tree must be at least 4 bits, got {}",
             self.w
         );
-        assert!(self.w <= 64, "adder tree wider than 64 bits is unsupported");
+        // The kernel sums the `w + t`-bit adder-tree output in an `i64`.
+        assert!(
+            self.w <= 64 - self.t(),
+            "a {}-bit adder tree over {} lanes needs w + t = {} bits, beyond the \
+             64-bit adder-tree sum (w <= {} at this lane count)",
+            self.w,
+            self.n,
+            self.w + self.t(),
+            64 - self.t()
+        );
         assert!(
             self.software_precision <= 64,
             "software precision {} out of range",
@@ -207,5 +216,22 @@ mod tests {
     #[should_panic(expected = "at least 4 bits")]
     fn rejects_tiny_adder() {
         IpuConfig::big(3).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "w + t = 65 bits")]
+    fn rejects_adder_tree_sum_beyond_64_bits() {
+        IpuConfig::big(61).validate();
+    }
+
+    #[test]
+    fn adder_tree_bound_follows_lane_count() {
+        IpuConfig::big(60).validate();
+        IpuConfig::small(61).validate();
+        IpuConfig {
+            n: 1,
+            ..IpuConfig::big(64)
+        }
+        .validate();
     }
 }

@@ -112,17 +112,22 @@ fn partition_mask(shifts: impl Iterator<Item = Option<u32>>, sp: u32) -> Option<
 
 /// Expand a partition bitmask into the ascending partition list (empty
 /// mask ⇒ the single idle partition 0).
-fn mask_to_partitions(mut mask: u64) -> Vec<u32> {
+fn mask_to_partitions(mask: u64) -> Vec<u32> {
     if mask == 0 {
         return vec![0];
     }
-    let mut ks = Vec::with_capacity(mask.count_ones() as usize);
-    while mask != 0 {
-        let k = mask.trailing_zeros();
-        ks.push(k);
-        mask &= mask - 1;
-    }
-    ks
+    partition_bits(mask).collect()
+}
+
+/// The set bits of a partition bitmask, ascending.
+pub(crate) fn partition_bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let k = mask.trailing_zeros();
+            mask &= mask - 1;
+            k
+        })
+    })
 }
 
 /// The exponent handling unit.
@@ -140,6 +145,29 @@ impl Ehu {
         Ehu { software_precision }
     }
 
+    /// EHU stages 1–4 for one FP inner product, shared by [`Ehu::plan`]
+    /// and the datapath kernels: the adder-tree exponent (0 when no product
+    /// is live) and each lane's alignment, `None` for a zero operand or a
+    /// lane masked by stage 4. `product_exps` yields the stage-1 product
+    /// exponents as [`Ehu::plan`] takes them; it is walked twice, once for
+    /// the maximum and once by the returned alignments.
+    pub(crate) fn align<I>(&self, product_exps: I) -> (i32, impl Iterator<Item = Option<u32>>)
+    where
+        I: Iterator<Item = Option<i32>> + Clone,
+    {
+        let max_exp = product_exps.clone().flatten().max().unwrap_or(0);
+        let software_precision = self.software_precision;
+        let shifts = product_exps.map(move |e| {
+            e.and_then(|e| {
+                let s = (max_exp - e) as u32;
+                // Stage 4: beyond the software precision the product
+                // cannot reach the accumulator's kept bits.
+                (s <= software_precision).then_some(s)
+            })
+        });
+        (max_exp, shifts)
+    }
+
     /// Compute the alignment plan for one FP inner product.
     ///
     /// `product_exps[k]` is the unbiased exponent of product `k`
@@ -147,19 +175,11 @@ impl Ehu {
     /// zero operands contribute nothing and must not win the max (a
     /// hardware EHU gates them with the operand-zero flags).
     pub fn plan(&self, product_exps: &[Option<i32>]) -> AlignmentPlan {
-        let max_exp = product_exps.iter().flatten().copied().max().unwrap_or(0);
-        let shifts = product_exps
-            .iter()
-            .map(|e| {
-                e.and_then(|e| {
-                    let s = (max_exp - e) as u32;
-                    // Stage 4: beyond the software precision the product
-                    // cannot reach the accumulator's kept bits.
-                    (s <= self.software_precision).then_some(s)
-                })
-            })
-            .collect();
-        AlignmentPlan { max_exp, shifts }
+        let (max_exp, shifts) = self.align(product_exps.iter().copied());
+        AlignmentPlan {
+            max_exp,
+            shifts: shifts.collect(),
+        }
     }
 
     /// Cycles per nibble iteration for safe precision `sp`, straight from

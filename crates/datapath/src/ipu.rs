@@ -9,9 +9,10 @@
 
 use crate::accum::Accumulator;
 use crate::config::{AccFormat, IpuConfig};
-use crate::ehu::{AlignmentPlan, Ehu};
+use crate::ehu::Ehu;
+use crate::kernel::{nibble_shift, FpOperand, Lanes, FP16_ITERATIONS};
 use crate::lane;
-use mpipu_fp::{FixedPoint, Fp16, FpFormat, Nibbles, SignedMagnitude};
+use mpipu_fp::{FixedPoint, Fp16, FpFormat, Nibbles};
 
 /// Signedness of an INT-mode operand vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +61,7 @@ pub struct Ipu {
     cfg: IpuConfig,
     acc: Accumulator,
     cycles: u64,
+    lanes: Lanes,
 }
 
 impl Ipu {
@@ -70,6 +72,7 @@ impl Ipu {
             cfg,
             acc: Accumulator::new(cfg),
             cycles: 0,
+            lanes: Lanes::new(cfg.n),
         }
     }
 
@@ -94,69 +97,57 @@ impl Ipu {
         self.cycles = 0;
     }
 
-    /// Decode FP16 vectors into (nibbles, product-exponent) form.
-    ///
-    /// Zero operands yield `None` exponents so they neither win the EHU max
-    /// nor occupy an alignment slot.
-    fn decode(&self, a: &[Fp16], b: &[Fp16]) -> (Vec<Nibbles>, Vec<Nibbles>, Vec<Option<i32>>) {
-        assert_eq!(a.len(), b.len(), "operand vectors must match");
-        assert!(
-            a.len() <= self.cfg.n,
-            "vector of {} exceeds the {}-lane IPU",
-            a.len(),
-            self.cfg.n
-        );
-        let mut na = Vec::with_capacity(a.len());
-        let mut nb = Vec::with_capacity(a.len());
-        let mut exps = Vec::with_capacity(a.len());
-        for (&x, &y) in a.iter().zip(b) {
-            let sx = SignedMagnitude::from_fp16(x).expect("finite input required");
-            let sy = SignedMagnitude::from_fp16(y).expect("finite input required");
-            exps.push((!sx.is_zero() && !sy.is_zero()).then(|| sx.product_exp(sy)));
-            na.push(Nibbles::from_fp16_magnitude(sx));
-            nb.push(Nibbles::from_fp16_magnitude(sy));
-        }
-        (na, nb, exps)
+    /// The unit's EHU: stage 4 masks alignments beyond both the software
+    /// precision and the `w`-bit shifter range.
+    fn ehu(&self) -> Ehu {
+        Ehu::new(self.cfg.software_precision.min(self.cfg.w))
     }
 
     /// One FP16 inner product, accumulated on top of existing state.
     /// Returns the cycles consumed (always 9: one per nibble iteration).
+    ///
+    /// Decodes both vectors into the unit's scratch and runs
+    /// [`Ipu::fp_ip_accumulate_decoded`]'s kernel; neither allocates once
+    /// the unit is built.
+    ///
+    /// # Panics
+    /// Panics if the vectors differ in length, exceed the lane count, or
+    /// hold an infinity or NaN.
     pub fn fp_ip_accumulate(&mut self, a: &[Fp16], b: &[Fp16]) -> u64 {
-        let (na, nb, exps) = self.decode(a, b);
-        let ehu = Ehu::new(self.cfg.software_precision.min(self.cfg.w));
-        let plan = ehu.plan(&exps);
-        let spent = self.run_iterations(&na, &nb, &plan);
-        self.cycles += spent;
-        spent
+        let ehu = self.ehu();
+        self.lanes.load_fp16(ehu, a, b);
+        self.run_iterations()
     }
 
-    /// Drive all nine nibble iterations for one alignment plan.
+    /// [`Ipu::fp_ip_accumulate`] over operands decoded by the caller — for
+    /// operands reused across many inner products, such as layer weights.
+    pub fn fp_ip_accumulate_decoded(&mut self, a: &[FpOperand], b: &[FpOperand]) -> u64 {
+        let ehu = self.ehu();
+        self.lanes.load(ehu, a, b);
+        self.run_iterations()
+    }
+
+    /// Drive all nine nibble iterations over the loaded live lanes.
     ///
     /// This is the `FP_IP` loop of paper Fig 2: for each `(i, j)` the lanes
     /// multiply, locally align (shift-truncate to the `w`-bit window), the
     /// adder tree sums, and the accumulator applies the nibble-significance
-    /// shift `4·((2−i)+(2−j))`.
-    fn run_iterations(&mut self, na: &[Nibbles], nb: &[Nibbles], plan: &AlignmentPlan) -> u64 {
+    /// shift `4·((2−i)+(2−j))`. An op with no live lane still spends its
+    /// nine cycles but leaves the accumulator untouched.
+    fn run_iterations(&mut self) -> u64 {
         let w = self.cfg.w;
-        let mut spent = 0;
-        for i in (0..3).rev() {
-            for j in (0..3).rev() {
-                if plan.live_lanes() > 0 {
-                    let mut sum: i64 = 0;
-                    for (k, (x, y)) in na.iter().zip(nb).enumerate() {
-                        let Some(shift) = plan.shifts[k] else {
-                            continue;
-                        };
-                        let p = lane::mul5x5(x.n[i], y.n[j]);
-                        sum += lane::shift_truncate(p, shift, w);
-                    }
-                    let nibble_shift = 4 * ((2 - i) + (2 - j)) as u32;
-                    self.acc.add_fp(sum, plan.max_exp, nibble_shift, 0);
+        let live = &self.lanes.live;
+        if !live.is_empty() {
+            for i in (0..3).rev() {
+                for j in (0..3).rev() {
+                    let sum = live.iter().map(|l| l.window(i, j, l.shift, w)).sum();
+                    self.acc
+                        .add_fp(sum, self.lanes.max_exp, nibble_shift(i, j), 0);
                 }
-                spent += 1;
             }
         }
-        spent
+        self.cycles += FP16_ITERATIONS;
+        FP16_ITERATIONS
     }
 
     /// Single-shot FP16 inner product: reset, run, read out.
@@ -386,6 +377,15 @@ mod tests {
         assert_eq!(rw, exact);
         assert!((rn - exact).abs() > 0.0, "narrow tree should truncate");
         assert!((rn - exact).abs() / exact < 1e-3);
+    }
+
+    #[test]
+    fn widest_valid_tree_is_exact_on_worst_case_vector() {
+        // w + t = 64: sixteen (−2047)·(−2047) products, the largest adder-tree
+        // sum a 16-lane unit can form, still fit the 64-bit sum.
+        let v = fp16v(&[-2047.0; 16]);
+        let r = Ipu::new(IpuConfig::big(60)).fp_ip(&v, &v);
+        assert_eq!(r.fixed.to_f64(), 67_043_344.0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   that replaces left shifts with a swap + right shift.
 //! * **`IPU(w)`** ([`ipu::Ipu`]) — the approximate single-cycle-per-iteration
 //!   unit: only the `w` most significant bits of each aligned product are
-//!   kept (paper Fig 2).
+//!   kept (paper Fig 2). Its FP16 kernel runs on operands decoded once
+//!   ([`FpOperand`]) and on per-lane scratch allocated with the unit.
 //! * **`MC-IPU(w)`** ([`mc::McIpu`]) — the multi-cycle unit of §3.2: products
 //!   are partitioned by required alignment into *safe-precision*-sized
 //!   windows and summed over multiple cycles, trading FP throughput for a
@@ -40,6 +41,7 @@ pub mod config;
 pub mod ehu;
 pub mod generic;
 pub mod ipu;
+mod kernel;
 pub mod lane;
 pub mod mc;
 pub mod metrics;
@@ -52,6 +54,7 @@ pub use config::{AccFormat, IpuConfig};
 pub use ehu::{AlignmentPlan, Ehu};
 pub use generic::{fp_ip_generic, GenericFpResult};
 pub use ipu::{FpIpResult, IntSignedness, Ipu};
+pub use kernel::FpOperand;
 pub use mc::{McIpu, McSchedule};
 pub use metrics::{abs_error, contaminated_bits_f32, contaminated_bits_fp16, rel_error};
 pub use reference::{exact_dot_fp16, f32_cpu_dot, f64_dot};

@@ -17,16 +17,19 @@
 
 use crate::accum::Accumulator;
 use crate::config::IpuConfig;
-use crate::ehu::{AlignmentPlan, Ehu};
+use crate::ehu::{partition_bits, Ehu};
 use crate::ipu::{FpIpResult, IntSignedness, Ipu};
-use crate::lane;
-use mpipu_fp::{FixedPoint, Fp16, Nibbles, SignedMagnitude};
+use crate::kernel::{nibble_shift, FpOperand, Lanes, FP16_ITERATIONS};
+use mpipu_fp::{FixedPoint, Fp16};
 
 /// Cycle schedule of one FP inner product on an MC-IPU.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McSchedule {
-    /// Non-empty alignment partitions (ascending `k`).
-    pub partitions: Vec<u32>,
+    /// Non-empty alignment partitions as a bitmask: bit `k` is set when
+    /// cycle `k` of each nibble iteration serves some lane. An op with no
+    /// live lane idles one cycle in partition 0. FP16 alignments never
+    /// exceed 58 bits, so every partition index fits.
+    pub partition_mask: u64,
     /// Cycles each of the nine nibble iterations takes.
     pub cycles_per_iteration: u32,
     /// Nibble iterations per FP16 operation (9 = 3×3).
@@ -35,12 +38,30 @@ pub struct McSchedule {
     pub total_cycles: u64,
 }
 
+impl McSchedule {
+    fn new(partition_mask: u64) -> Self {
+        let cycles_per_iteration = partition_mask.count_ones();
+        McSchedule {
+            partition_mask,
+            cycles_per_iteration,
+            iterations: FP16_ITERATIONS as u32,
+            total_cycles: FP16_ITERATIONS * u64::from(cycles_per_iteration),
+        }
+    }
+
+    /// The non-empty alignment partitions, ascending.
+    pub fn partitions(&self) -> impl Iterator<Item = u32> {
+        partition_bits(self.partition_mask)
+    }
+}
+
 /// The multi-cycle IPU.
 #[derive(Debug, Clone)]
 pub struct McIpu {
     cfg: IpuConfig,
     acc: Accumulator,
     cycles: u64,
+    lanes: Lanes,
 }
 
 impl McIpu {
@@ -53,6 +74,7 @@ impl McIpu {
             cfg,
             acc: Accumulator::new(cfg),
             cycles: 0,
+            lanes: Lanes::new(cfg.n),
         }
     }
 
@@ -82,13 +104,21 @@ impl McIpu {
         &self.acc
     }
 
+    fn ehu(&self) -> Ehu {
+        Ehu::new(self.cfg.software_precision)
+    }
+
     /// Plan the cycle schedule for a pair of FP16 vectors without
     /// executing — used by the performance simulator, which only needs
     /// cycle counts.
     pub fn schedule(&self, a: &[Fp16], b: &[Fp16]) -> McSchedule {
-        let (_, _, exps) = decode(&self.cfg, a, b);
-        let plan = Ehu::new(self.cfg.software_precision).plan(&exps);
-        self.schedule_for_plan(&plan)
+        self.lanes.check(a.len(), b.len());
+        let exps = a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| FpOperand::from_fp16(x).product_exp(FpOperand::from_fp16(y)));
+        let (_, shifts) = self.ehu().align(exps);
+        self.schedule_of(shifts.flatten())
     }
 
     /// `true` when the adder tree already covers the software precision —
@@ -99,55 +129,47 @@ impl McIpu {
         self.cfg.w >= self.cfg.software_precision
     }
 
-    /// Schedule from a precomputed alignment plan.
-    pub fn schedule_for_plan(&self, plan: &AlignmentPlan) -> McSchedule {
-        let partitions = if self.single_cycle() {
-            vec![0]
+    /// Alignment width each cycle serves: the safe precision, or — in
+    /// single-cycle mode — a window wider than any alignment, so every
+    /// live lane lands in partition 0 and aligns locally.
+    fn window(&self) -> u32 {
+        if self.single_cycle() {
+            u32::MAX
         } else {
-            plan.partitions(self.safe_precision())
-        };
-        let cpi = partitions.len() as u32;
-        McSchedule {
-            partitions,
-            cycles_per_iteration: cpi,
-            iterations: 9,
-            total_cycles: 9 * cpi as u64,
+            self.safe_precision()
         }
     }
 
+    /// Schedule for the live lanes' alignments.
+    fn schedule_of(&self, live_shifts: impl Iterator<Item = u32>) -> McSchedule {
+        let window = self.window();
+        let mask = live_shifts.fold(0u64, |mask, s| mask | 1 << (s / window));
+        McSchedule::new(mask.max(1))
+    }
+
     /// One FP16 inner product, accumulated on top of existing state.
-    /// Returns the schedule actually executed.
+    /// Returns the schedule actually executed. Allocates nothing once the
+    /// unit is built.
     pub fn fp_ip_accumulate(&mut self, a: &[Fp16], b: &[Fp16]) -> McSchedule {
-        let (na, nb, exps) = decode(&self.cfg, a, b);
-        let plan = Ehu::new(self.cfg.software_precision).plan(&exps);
-        let sched = self.schedule_for_plan(&plan);
-        let sp = self.safe_precision();
-        let w = self.cfg.w;
-        let single = self.single_cycle();
-        for i in (0..3usize).rev() {
-            for j in (0..3usize).rev() {
-                if plan.live_lanes() == 0 {
-                    continue;
-                }
-                let nibble_shift = 4 * ((2 - i) + (2 - j)) as u32;
-                for &k in &sched.partitions {
-                    // Cycle k: mask lanes outside [k·sp, (k+1)·sp), shift
-                    // the rest locally by the remainder. In single-cycle
-                    // mode the window covers the software precision and
-                    // every lane aligns locally (plain IPU semantics).
-                    let mut sum: i64 = 0;
-                    for (lane_idx, (x, y)) in na.iter().zip(&nb).enumerate() {
-                        let Some(s) = plan.shifts[lane_idx] else {
-                            continue;
-                        };
-                        if !single && s / sp != k {
-                            continue;
-                        }
-                        let local = if single { s } else { s - k * sp };
-                        let p = lane::mul5x5(x.n[i], y.n[j]);
-                        sum += lane::shift_truncate(p, local, w);
+        let ehu = self.ehu();
+        self.lanes.load_fp16(ehu, a, b);
+        let live = &self.lanes.live;
+        let sched = self.schedule_of(live.iter().map(|l| l.shift));
+        let (w, window) = (self.cfg.w, self.window());
+        if !live.is_empty() {
+            for i in (0..3).rev() {
+                for j in (0..3).rev() {
+                    for k in sched.partitions() {
+                        // Cycle k: mask lanes outside [k·window, (k+1)·window),
+                        // shift the rest locally by the remainder.
+                        let sum = live
+                            .iter()
+                            .filter(|l| l.shift / window == k)
+                            .map(|l| l.window(i, j, l.shift - k * window, w))
+                            .sum();
+                        self.acc
+                            .add_fp(sum, self.lanes.max_exp, nibble_shift(i, j), k * window);
                     }
-                    self.acc.add_fp(sum, plan.max_exp, nibble_shift, k * sp);
                 }
             }
         }
@@ -201,31 +223,6 @@ impl McIpu {
     }
 }
 
-fn decode(
-    cfg: &IpuConfig,
-    a: &[Fp16],
-    b: &[Fp16],
-) -> (Vec<Nibbles>, Vec<Nibbles>, Vec<Option<i32>>) {
-    assert_eq!(a.len(), b.len(), "operand vectors must match");
-    assert!(
-        a.len() <= cfg.n,
-        "vector of {} exceeds the {}-lane MC-IPU",
-        a.len(),
-        cfg.n
-    );
-    let mut na = Vec::with_capacity(a.len());
-    let mut nb = Vec::with_capacity(a.len());
-    let mut exps = Vec::with_capacity(a.len());
-    for (&x, &y) in a.iter().zip(b) {
-        let sx = SignedMagnitude::from_fp16(x).expect("finite input required");
-        let sy = SignedMagnitude::from_fp16(y).expect("finite input required");
-        exps.push((!sx.is_zero() && !sy.is_zero()).then(|| sx.product_exp(sy)));
-        na.push(Nibbles::from_fp16_magnitude(sx));
-        nb.push(Nibbles::from_fp16_magnitude(sy));
-    }
-    (na, nb, exps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +265,7 @@ mod tests {
         };
         let mc = McIpu::new(cfg);
         let sched = mc.schedule(&a, &b);
-        assert_eq!(sched.partitions, vec![0, 1]);
+        assert_eq!(sched.partitions().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(sched.total_cycles, 18);
     }
 
@@ -311,7 +308,7 @@ mod tests {
         let mc = McIpu::new(cfg);
         // Shifts 0 and 38 → lane 1 masked → single partition.
         let sched = mc.schedule(&a, &b);
-        assert_eq!(sched.partitions, vec![0]);
+        assert_eq!(sched.partitions().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

@@ -1,10 +1,242 @@
 //! Property-based invariants of the IPU/MC-IPU emulation.
 
 use mpipu_datapath::{
-    exact_dot_fp16, theorem1_bound_tight, AccFormat, IntSignedness, Ipu, IpuConfig, McIpu,
+    exact_dot_fp16, theorem1_bound_tight, AccFormat, FpOperand, IntSignedness, Ipu, IpuConfig,
+    McIpu,
 };
 use mpipu_fp::{Fp16, FpFormat};
 use proptest::prelude::*;
+
+/// A reference FP16 datapath for `Ipu` and `McIpu`: per-lane nibble
+/// vectors, a collected alignment plan, and a partition list per op. The
+/// nibble split and EHU stages 1–4 are written out here instead of
+/// borrowed from the library, so a change to either shows up as a
+/// mismatch against the kernel.
+mod reference {
+    use mpipu_datapath::accum::Accumulator;
+    use mpipu_datapath::{lane, IpuConfig};
+    use mpipu_fp::{Fp16, SignedMagnitude};
+
+    /// Per-lane `[N0, N1, N2]` nibbles and the product exponents
+    /// (`None` when either operand is zero).
+    type Decoded = (Vec<Vec<i8>>, Vec<Vec<i8>>, Vec<Option<i32>>);
+
+    fn nibbles(m: i32) -> Vec<i8> {
+        vec![
+            ((m & 0x7) as i8) << 1,
+            ((m >> 3) & 0xf) as i8,
+            (m >> 7) as i8,
+        ]
+    }
+
+    fn decode(a: &[Fp16], b: &[Fp16]) -> Decoded {
+        let mut na = Vec::new();
+        let mut nb = Vec::new();
+        let mut exps = Vec::new();
+        for (&x, &y) in a.iter().zip(b) {
+            let sx = SignedMagnitude::from_fp16(x).expect("finite input");
+            let sy = SignedMagnitude::from_fp16(y).expect("finite input");
+            exps.push((!sx.is_zero() && !sy.is_zero()).then(|| sx.exp + sy.exp));
+            na.push(nibbles(sx.m));
+            nb.push(nibbles(sy.m));
+        }
+        (na, nb, exps)
+    }
+
+    /// EHU stages 2–4: the maximum product exponent and per-lane shifts.
+    fn plan(software_precision: u32, exps: &[Option<i32>]) -> (i32, Vec<Option<u32>>) {
+        let max_exp = exps.iter().flatten().copied().max().unwrap_or(0);
+        let shifts = exps
+            .iter()
+            .map(|e| {
+                e.and_then(|e| {
+                    let s = (max_exp - e) as u32;
+                    (s <= software_precision).then_some(s)
+                })
+            })
+            .collect();
+        (max_exp, shifts)
+    }
+
+    fn nibble_shift(i: usize, j: usize) -> u32 {
+        4 * ((2 - i) + (2 - j)) as u32
+    }
+
+    /// The plain `IPU(w)`.
+    pub struct Ipu {
+        pub cfg: IpuConfig,
+        pub acc: Accumulator,
+        pub cycles: u64,
+    }
+
+    impl Ipu {
+        pub fn new(cfg: IpuConfig) -> Self {
+            Ipu {
+                cfg,
+                acc: Accumulator::new(cfg),
+                cycles: 0,
+            }
+        }
+
+        pub fn fp_ip_accumulate(&mut self, a: &[Fp16], b: &[Fp16]) -> u64 {
+            let (na, nb, exps) = decode(a, b);
+            let w = self.cfg.w;
+            let (max_exp, shifts) = plan(self.cfg.software_precision.min(w), &exps);
+            let live = shifts.iter().any(Option::is_some);
+            for i in (0..3).rev() {
+                for j in (0..3).rev() {
+                    if live {
+                        let mut sum: i64 = 0;
+                        for (k, (x, y)) in na.iter().zip(&nb).enumerate() {
+                            let Some(shift) = shifts[k] else { continue };
+                            sum += lane::shift_truncate(lane::mul5x5(x[i], y[j]), shift, w);
+                        }
+                        self.acc.add_fp(sum, max_exp, nibble_shift(i, j), 0);
+                    }
+                }
+            }
+            self.cycles += 9;
+            9
+        }
+    }
+
+    /// An MC-IPU cycle schedule.
+    #[derive(Debug, PartialEq)]
+    pub struct Schedule {
+        pub partitions: Vec<u32>,
+        pub cycles_per_iteration: u32,
+        pub total_cycles: u64,
+    }
+
+    /// The multi-cycle `MC-IPU(w)`.
+    pub struct McIpu {
+        pub cfg: IpuConfig,
+        pub acc: Accumulator,
+        pub cycles: u64,
+    }
+
+    impl McIpu {
+        pub fn new(cfg: IpuConfig) -> Self {
+            McIpu {
+                cfg,
+                acc: Accumulator::new(cfg),
+                cycles: 0,
+            }
+        }
+
+        pub fn fp_ip_accumulate(&mut self, a: &[Fp16], b: &[Fp16]) -> Schedule {
+            let (na, nb, exps) = decode(a, b);
+            let (max_exp, shifts) = plan(self.cfg.software_precision, &exps);
+            let sp = self.cfg.safe_precision();
+            let w = self.cfg.w;
+            let single = w >= self.cfg.software_precision;
+            let mut partitions: Vec<u32> = if single {
+                vec![0]
+            } else {
+                shifts.iter().flatten().map(|&s| s / sp).collect()
+            };
+            partitions.sort_unstable();
+            partitions.dedup();
+            if partitions.is_empty() {
+                partitions.push(0);
+            }
+            let cpi = partitions.len() as u32;
+            let live = shifts.iter().any(Option::is_some);
+            for i in (0..3).rev() {
+                for j in (0..3).rev() {
+                    if !live {
+                        continue;
+                    }
+                    for &k in &partitions {
+                        let mut sum: i64 = 0;
+                        for (lane_idx, (x, y)) in na.iter().zip(&nb).enumerate() {
+                            let Some(s) = shifts[lane_idx] else { continue };
+                            if !single && s / sp != k {
+                                continue;
+                            }
+                            let local = if single { s } else { s - k * sp };
+                            sum += lane::shift_truncate(lane::mul5x5(x[i], y[j]), local, w);
+                        }
+                        self.acc.add_fp(sum, max_exp, nibble_shift(i, j), k * sp);
+                    }
+                }
+            }
+            self.cycles += 9 * cpi as u64;
+            Schedule {
+                partitions,
+                cycles_per_iteration: cpi,
+                total_cycles: 9 * cpi as u64,
+            }
+        }
+    }
+}
+
+/// Strategy: a finite FP16 value with zeros and subnormals drawn often
+/// (each about one case in eight) so zero lanes and the shared subnormal
+/// exponent are exercised.
+fn edge_fp16() -> impl Strategy<Value = Fp16> {
+    (0u8..8, 0u16..=u16::MAX).prop_filter_map("finite", |(kind, bits)| {
+        let x = match kind {
+            0 => Fp16(bits & 0x8000),
+            1 => Fp16(bits & 0x83ff),
+            _ => Fp16(bits),
+        };
+        (!x.is_non_finite()).then_some(x)
+    })
+}
+
+/// Strategy: a unit configuration and a chain of 1–5 inner products for
+/// it. Lanes `n` ∈ {1, 8, 9, 16}; each op holds 0..=n lanes; `w` spans 4 up
+/// to the `w + t ≤ 64` bound; software precision 0..=40; a short
+/// accumulator headroom. One chain in four is *heavy*: every operand is
+/// an FP16 value in `[-65504, -61472]`, whose top nibble is −16, so the
+/// products share one exponent and reach the largest adder-tree sums and
+/// the accumulator's overflow flag.
+#[allow(clippy::type_complexity)]
+fn unit_and_chain() -> impl Strategy<Value = (IpuConfig, Vec<(Vec<Fp16>, Vec<Fp16>)>)> {
+    (
+        0usize..4,
+        0u32..=60,
+        0u32..=40,
+        0u32..=10,
+        prop::collection::vec(
+            prop::collection::vec((edge_fp16(), edge_fp16()), 0..=16),
+            1..=5,
+        ),
+        0u8..4,
+    )
+        .prop_map(
+            |(n_sel, w_raw, software_precision, headroom_l, ops, heavy)| {
+                let n = [1, 8, 9, 16][n_sel];
+                let mut cfg = IpuConfig {
+                    n,
+                    w: 4,
+                    software_precision,
+                    acc: AccFormat::Fp32,
+                    headroom_l,
+                };
+                cfg.w = 4 + w_raw % (61 - cfg.t());
+                let operand = |x: Fp16| {
+                    if heavy == 0 {
+                        Fp16(0xfb81 + x.0 % 0x7f)
+                    } else {
+                        x
+                    }
+                };
+                let ops = ops
+                    .into_iter()
+                    .map(|mut pairs| {
+                        pairs.truncate(pairs.len() % (n + 1));
+                        pairs
+                            .into_iter()
+                            .map(|(x, y)| (operand(x), operand(y)))
+                            .unzip()
+                    })
+                    .collect();
+                (cfg, ops)
+            },
+        )
+}
 
 /// Strategy: a finite FP16 value from a full-range bit pattern.
 fn finite_fp16() -> impl Strategy<Value = Fp16> {
@@ -233,5 +465,68 @@ proptest! {
         prop_assert_eq!(&plan.partitions(sp), &naive);
         prop_assert_eq!(plan.cycles(sp), naive.len() as u32);
         prop_assert_eq!(ehu.partition_count(&exps, sp), naive.len() as u32);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The zero-allocation `Ipu` kernel is bit-identical to the reference
+    /// datapath after every op of a chain: accumulator contents, overflow
+    /// flag and cycles.
+    #[test]
+    fn ipu_kernel_matches_reference(case in unit_and_chain()) {
+        let (cfg, ops) = case;
+        let mut ipu = Ipu::new(cfg);
+        let mut oracle = reference::Ipu::new(cfg);
+        for (a, b) in &ops {
+            prop_assert_eq!(ipu.fp_ip_accumulate(a, b), oracle.fp_ip_accumulate(a, b));
+            prop_assert_eq!(ipu.read_fixed(), oracle.acc.fixed(), "{:?}", cfg);
+            prop_assert_eq!(ipu.accumulator().overflowed(), oracle.acc.overflowed());
+            prop_assert_eq!(ipu.cycles(), oracle.cycles);
+        }
+    }
+
+    /// The `McIpu` kernel is bit-identical to the reference datapath too,
+    /// and its schedule matches both the reference and `McIpu::schedule`.
+    #[test]
+    fn mc_kernel_matches_reference(case in unit_and_chain()) {
+        let (cfg, ops) = case;
+        let mut mc = McIpu::new(cfg);
+        let mut oracle = reference::McIpu::new(cfg);
+        for (a, b) in &ops {
+            let planned = mc.schedule(a, b);
+            let got = mc.fp_ip_accumulate(a, b);
+            let want = oracle.fp_ip_accumulate(a, b);
+            prop_assert_eq!(planned, got);
+            prop_assert_eq!(
+                reference::Schedule {
+                    partitions: got.partitions().collect(),
+                    cycles_per_iteration: got.cycles_per_iteration,
+                    total_cycles: got.total_cycles,
+                },
+                want
+            );
+            prop_assert_eq!(got.iterations, 9);
+            prop_assert_eq!(mc.read_fixed(), oracle.acc.fixed(), "{:?}", cfg);
+            prop_assert_eq!(mc.accumulator().overflowed(), oracle.acc.overflowed());
+            prop_assert_eq!(mc.cycles(), oracle.cycles);
+        }
+    }
+
+    /// Operands decoded by the caller give the same bits as raw FP16.
+    #[test]
+    fn decoded_operands_match_raw_fp16(case in unit_and_chain()) {
+        let (cfg, ops) = case;
+        let mut raw = Ipu::new(cfg);
+        let mut decoded = Ipu::new(cfg);
+        for (a, b) in &ops {
+            let da: Vec<FpOperand> = a.iter().map(|&x| FpOperand::from_fp16(x)).collect();
+            let db: Vec<FpOperand> = b.iter().map(|&x| FpOperand::from_fp16(x)).collect();
+            raw.fp_ip_accumulate(a, b);
+            decoded.fp_ip_accumulate_decoded(&da, &db);
+            prop_assert_eq!(raw.read_fixed(), decoded.read_fixed());
+            prop_assert_eq!(raw.cycles(), decoded.cycles());
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! back in the configured format (FP16 or FP32).
 
 use crate::tensor::Tensor;
-use mpipu_datapath::{Ipu, IpuConfig};
+use mpipu_datapath::{FpOperand, Ipu, IpuConfig};
 use mpipu_fp::{Fp16, FpFormat};
 
 /// Reference f32 convolution: input `[C, H, W]`, weight `[K, C, R, S]`,
@@ -133,28 +133,54 @@ pub fn linear_f32(x: &[f32], weight: &Tensor, bias: &[f32]) -> Vec<f32> {
         .collect()
 }
 
+/// Round `values` to FP16 and decode them for the datapath.
+pub fn fp16_operands(values: &[f32]) -> Vec<FpOperand> {
+    values
+        .iter()
+        .map(|&v| FpOperand::from_fp16(Fp16::from_f32(v)))
+        .collect()
+}
+
 /// Emulated linear layer: FP16 operands through the IPU datapath; the bias
 /// is added in the write-back format afterwards (the conversion unit is
 /// outside the IPU, paper Appendix B).
+///
+/// Decodes `x` and every weight on each call; a caller replaying the same
+/// weights many times decodes them once and calls [`linear_decoded`].
 pub fn linear_emulated(x: &[f32], weight: &Tensor, bias: &[f32], cfg: IpuConfig) -> Vec<f32> {
     let (k, c) = (weight.shape()[0], weight.shape()[1]);
     assert_eq!(x.len(), c);
     assert_eq!(bias.len(), k);
-    let xa: Vec<Fp16> = x.iter().map(|&v| Fp16::from_f32(v)).collect();
-    let mut ipu = Ipu::new(cfg);
-    let n = cfg.n;
-    (0..k)
-        .map(|ok| {
-            let row = &weight.data()[ok * c..(ok + 1) * c];
-            let wb: Vec<Fp16> = row.iter().map(|&v| Fp16::from_f32(v)).collect();
+    linear_decoded(
+        &mut Ipu::new(cfg),
+        &fp16_operands(x),
+        &fp16_operands(weight.data()),
+        bias,
+    )
+}
+
+/// The emulated linear layer over decoded operands, behind both
+/// [`linear_emulated`] and the MLP replay: output `o` resets `ipu`,
+/// accumulates `x` against row `o` of `weight` (row-major
+/// `[bias.len(), x.len()]`) in chunks of the lane count, and adds
+/// `bias[o]` to the write-back value.
+pub fn linear_decoded(
+    ipu: &mut Ipu,
+    x: &[FpOperand],
+    weight: &[FpOperand],
+    bias: &[f32],
+) -> Vec<f32> {
+    let c = x.len();
+    assert_eq!(weight.len(), bias.len() * c, "weight shape mismatch");
+    let n = ipu.config().n;
+    bias.iter()
+        .enumerate()
+        .map(|(o, &b)| {
             ipu.reset();
-            let mut i = 0;
-            while i < c {
-                let hi = (i + n).min(c);
-                ipu.fp_ip_accumulate(&xa[i..hi], &wb[i..hi]);
-                i = hi;
+            for (xs, ws) in x.chunks(n).zip(weight[o * c..(o + 1) * c].chunks(n)) {
+                ipu.fp_ip_accumulate_decoded(xs, ws);
             }
-            ipu.read_fp() as f32 + bias[ok]
+            ipu.read_fp() as f32 + b
         })
         .collect()
 }

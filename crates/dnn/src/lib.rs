@@ -32,7 +32,7 @@ pub mod train;
 pub mod zoo;
 
 pub use cnn::{cnn_accuracy_emulated, cnn_accuracy_f32, train_cnn, SmallCnn};
-pub use layers::{conv2d_emulated, conv2d_f32, linear_emulated, linear_f32};
+pub use layers::{conv2d_emulated, conv2d_f32, linear_decoded, linear_emulated, linear_f32};
 pub use shape::ConvShape;
 pub use tensor::Tensor;
 pub use zoo::{Network, Pass, Workload};

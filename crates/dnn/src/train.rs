@@ -8,10 +8,10 @@
 //! with plain SGD + softmax cross-entropy, then evaluated with every
 //! inner product routed through the emulated `IPU(precision)`.
 
-use crate::layers::{linear_emulated, linear_f32, softmax};
+use crate::layers::{fp16_operands, linear_decoded, linear_f32, softmax};
 use crate::synthetic::Dataset;
 use crate::tensor::Tensor;
-use mpipu_datapath::IpuConfig;
+use mpipu_datapath::{FpOperand, Ipu, IpuConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,21 +73,23 @@ impl Mlp {
     }
 
     /// Logits with every linear layer routed through the emulated IPU.
+    /// Decodes the weights on each call; replays over many samples go
+    /// through [`Mlp::decoded`].
     pub fn logits_emulated(&self, x: &[f32], cfg: IpuConfig) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        let last = self.weights.len() - 1;
-        for (li, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let mut y = linear_emulated(&cur, w, b, cfg);
-            if li < last {
-                for v in &mut y {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            cur = y;
+        self.decoded().logits(&mut Ipu::new(cfg), x)
+    }
+
+    /// The weights decoded once for emulated replay at any IPU
+    /// configuration.
+    pub fn decoded(&self) -> DecodedMlp<'_> {
+        DecodedMlp {
+            weights: self
+                .weights
+                .iter()
+                .map(|w| fp16_operands(w.data()))
+                .collect(),
+            biases: &self.biases,
         }
-        cur
     }
 
     /// One SGD step on one sample (softmax cross-entropy). Returns loss.
@@ -140,6 +142,59 @@ impl Mlp {
     }
 }
 
+/// An [`Mlp`] with its weights decoded for the emulated datapath: the
+/// weights are the same at every precision and every sample, so a replay
+/// decodes them once.
+#[derive(Debug, Clone)]
+pub struct DecodedMlp<'a> {
+    weights: Vec<Vec<FpOperand>>,
+    biases: &'a [Vec<f32>],
+}
+
+impl DecodedMlp<'_> {
+    /// Logits for one sample with every linear layer run on `ipu`.
+    pub fn logits(&self, ipu: &mut Ipu, x: &[f32]) -> Vec<f32> {
+        let mut cur = x.to_vec();
+        let last = self.weights.len() - 1;
+        for (li, (w, b)) in self.weights.iter().zip(self.biases).enumerate() {
+            let mut y = linear_decoded(ipu, &fp16_operands(&cur), w, b);
+            if li < last {
+                for v in &mut y {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+            }
+            cur = y;
+        }
+        cur
+    }
+
+    /// Per-sample Top-1 correctness on `data` through an `IPU(cfg)`: the
+    /// one emulated pass that [`top1`] and [`batch_top1`] derive every
+    /// accuracy statistic from.
+    pub fn correct(&self, data: &Dataset, cfg: IpuConfig) -> Vec<bool> {
+        let mut ipu = Ipu::new(cfg);
+        (0..data.len())
+            .map(|i| {
+                let (x, y) = data.sample(i);
+                argmax(&self.logits(&mut ipu, x)) == y
+            })
+            .collect()
+    }
+}
+
+/// Top-1 accuracy from per-sample correctness.
+pub fn top1(correct: &[bool]) -> f64 {
+    correct.iter().filter(|&&c| c).count() as f64 / correct.len() as f64
+}
+
+/// Per-batch Top-1 accuracies from per-sample correctness, in batches of
+/// `batch` samples (the last may be short; 0 counts as 1).
+pub fn batch_top1(correct: &[bool], batch: usize) -> Vec<f64> {
+    correct.chunks(batch.max(1)).map(top1).collect()
+}
+
 /// Train an MLP on a dataset with plain per-sample SGD.
 pub fn train(model: &mut Mlp, data: &Dataset, epochs: usize, lr: f32) -> f32 {
     let mut last_loss = f32::NAN;
@@ -165,38 +220,22 @@ pub fn accuracy_f32(model: &Mlp, data: &Dataset) -> f64 {
     correct as f64 / data.len() as f64
 }
 
-/// Top-1 accuracy with inference through the emulated IPU.
+/// Top-1 accuracy with inference through the emulated IPU: one replay
+/// ([`DecodedMlp::correct`]) reduced by [`top1`].
 pub fn accuracy_emulated(model: &Mlp, data: &Dataset, cfg: IpuConfig) -> f64 {
-    let correct = (0..data.len())
-        .filter(|&i| {
-            let (x, y) = data.sample(i);
-            argmax(&model.logits_emulated(x, cfg)) == y
-        })
-        .count();
-    correct as f64 / data.len() as f64
+    top1(&model.decoded().correct(data, cfg))
 }
 
 /// Per-batch Top-1 accuracies (the paper reports per-batch fluctuation at
-/// precision 8).
+/// precision 8): one replay reduced by [`batch_top1`]. A batch size of 0
+/// counts as 1.
 pub fn batch_accuracies_emulated(
     model: &Mlp,
     data: &Dataset,
     cfg: IpuConfig,
     batch: usize,
 ) -> Vec<f64> {
-    (0..data.len())
-        .step_by(batch.max(1))
-        .map(|start| {
-            let end = (start + batch).min(data.len());
-            let correct = (start..end)
-                .filter(|&i| {
-                    let (x, y) = data.sample(i);
-                    argmax(&model.logits_emulated(x, cfg)) == y
-                })
-                .count();
-            correct as f64 / (end - start) as f64
-        })
-        .collect()
+    batch_top1(&model.decoded().correct(data, cfg), batch)
 }
 
 fn argmax(v: &[f32]) -> usize {
@@ -283,6 +322,17 @@ mod tests {
         let batches = batch_accuracies_emulated(&model, &test_set, IpuConfig::big(16), 50);
         assert_eq!(batches.len(), 4);
         assert!(batches.iter().all(|&a| (0.0..=1.0).contains(&a)));
+    }
+
+    #[test]
+    fn batch_size_zero_counts_as_one() {
+        let data = gaussian_prototypes(24, 16, 4, 0.3, 5);
+        let model = Mlp::new(&[16, 8, 4], 3);
+        let cfg = IpuConfig::big(16);
+        let batches = batch_accuracies_emulated(&model, &data, cfg, 0);
+        assert_eq!(batches.len(), data.len());
+        assert_eq!(batches, batch_accuracies_emulated(&model, &data, cfg, 1));
+        assert!(batches.iter().all(|&a| a == 0.0 || a == 1.0));
     }
 
     #[test]

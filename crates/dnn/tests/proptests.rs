@@ -1,10 +1,41 @@
 //! Property-based invariants of the DNN substrate.
 
-use mpipu_datapath::IpuConfig;
-use mpipu_dnn::layers::{conv2d_f32, linear_emulated, linear_f32, maxpool2x2, softmax};
+use mpipu_datapath::{AccFormat, Ipu, IpuConfig};
+use mpipu_dnn::layers::{
+    conv2d_f32, fp16_operands, linear_decoded, linear_emulated, linear_f32, maxpool2x2, softmax,
+};
 use mpipu_dnn::shape::ConvShape;
 use mpipu_dnn::tensor::Tensor;
+use mpipu_dnn::train::Mlp;
+use mpipu_fp::{Fp16, FpFormat};
 use proptest::prelude::*;
+
+/// A reference emulated linear layer: raw FP16 vectors through
+/// `Ipu::fp_ip_accumulate`, each weight row converted per output, a fresh
+/// unit per call.
+fn linear_reference(x: &[f32], weight: &Tensor, bias: &[f32], cfg: IpuConfig) -> Vec<f32> {
+    let c = weight.shape()[1];
+    let xa: Vec<Fp16> = x.iter().map(|&v| Fp16::from_f32(v)).collect();
+    let mut ipu = Ipu::new(cfg);
+    (0..weight.shape()[0])
+        .map(|ok| {
+            let row = &weight.data()[ok * c..(ok + 1) * c];
+            let wb: Vec<Fp16> = row.iter().map(|&v| Fp16::from_f32(v)).collect();
+            ipu.reset();
+            let mut i = 0;
+            while i < c {
+                let hi = (i + cfg.n).min(c);
+                ipu.fp_ip_accumulate(&xa[i..hi], &wb[i..hi]);
+                i = hi;
+            }
+            ipu.read_fp() as f32 + bias[ok]
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -95,5 +126,52 @@ proptest! {
         // And padding waste is bounded by the unroll rounding (≤ 8× when
         // every dimension has a remainder of 1).
         prop_assert!(slots <= l.macs() * 64, "waste too large");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Weights decoded once and one unit reused across layers and samples
+    /// give the same bits as `linear_emulated` and as the raw-FP16
+    /// reference layer, layer by layer and end to end.
+    #[test]
+    fn decoded_layers_match_linear_emulated(
+        widths in prop::collection::vec(1usize..40, 2..=4),
+        seed in 0u64..1000,
+        n_sel in 0usize..3,
+        w in 4u32..=60,
+        software_precision in 0u32..=40,
+        fp16_acc in any::<bool>(),
+    ) {
+        let mut cfg = IpuConfig::big(w).with_software_precision(software_precision);
+        cfg.n = [1, 8, 16][n_sel];
+        if fp16_acc {
+            cfg.acc = AccFormat::Fp16;
+        }
+        let model = Mlp::new(&widths, seed);
+        let decoded = model.decoded();
+        let mut ipu = Ipu::new(cfg);
+        for sample in 0..3 {
+            let mut x = vec![0.0f32; widths[0]];
+            mpipu_dnn::synthetic::fill_normal(&mut x, 1.0, seed + sample);
+            let mut cur = x.clone();
+            for (li, (w, b)) in model.weights.iter().zip(&model.biases).enumerate() {
+                let want = linear_reference(&cur, w, b, cfg);
+                let got = linear_decoded(&mut ipu, &fp16_operands(&cur), &fp16_operands(w.data()), b);
+                prop_assert_eq!(bits(&got), bits(&want), "layer {}", li);
+                prop_assert_eq!(bits(&linear_emulated(&cur, w, b, cfg)), bits(&want));
+                cur = want;
+                if li + 1 < model.weights.len() {
+                    for v in &mut cur {
+                        if *v < 0.0 {
+                            *v = 0.0;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(bits(&decoded.logits(&mut ipu, &x)), bits(&cur));
+            prop_assert_eq!(bits(&model.logits_emulated(&x, cfg)), bits(&cur));
+        }
     }
 }

@@ -34,7 +34,7 @@ pub mod round;
 
 pub use format::{Bf16, Fp16, FpClass, FpFormat, Tf32};
 pub use magnitude::SignedMagnitude;
-pub use nibble::{GenericNibbles, Nibbles};
+pub use nibble::{fp16_nibbles, GenericNibbles, Nibbles};
 pub use round::{round_to_f32_rne, round_to_fp16_rne, FixedPoint};
 
 /// Range of the unbiased exponent of a single FP16 value: `[-14, 15]`

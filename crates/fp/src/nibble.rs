@@ -27,6 +27,23 @@ pub const FP_NIBBLE_WEIGHTS: [i32; 3] = [-1, 3, 7];
 /// Number of nibbles an FP16 signed magnitude decomposes into.
 pub const FP16_NIBBLES: usize = 3;
 
+/// The FP-mode split `[N0, N1, N2]` (least significant first) of a 12-bit
+/// signed magnitude `m`: the one definition every FP16 decode uses.
+///
+/// # Panics
+/// Panics if `m` does not fit 12 bits two's complement.
+#[inline]
+pub fn fp16_nibbles(m: i32) -> [i8; FP16_NIBBLES] {
+    assert!(
+        (-2048..=2047).contains(&m),
+        "FP16 signed magnitude must fit 12 bits, got {m}"
+    );
+    let n2 = (m >> 7) as i8; // arithmetic: signed top slice
+    let n1 = ((m >> 3) & 0xf) as i8; // zero-extended
+    let n0 = ((m & 0x7) as i8) << 1; // pre-shifted left
+    [n0, n1, n2]
+}
+
 /// A multi-nibble operand: little-endian vector of 5-bit signed multiplier
 /// inputs plus the operand's exponent metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,16 +61,8 @@ impl Nibbles {
     /// # Panics
     /// Panics if `sm.m` does not fit 12 bits two's complement.
     pub fn from_fp16_magnitude(sm: SignedMagnitude) -> Self {
-        let m = sm.m;
-        assert!(
-            (-2048..=2047).contains(&m),
-            "FP16 signed magnitude must fit 12 bits, got {m}"
-        );
-        let n2 = (m >> 7) as i8; // arithmetic: signed top slice
-        let n1 = ((m >> 3) & 0xf) as i8; // zero-extended
-        let n0 = ((m & 0x7) as i8) << 1; // pre-shifted left
         Nibbles {
-            n: vec![n0, n1, n2],
+            n: fp16_nibbles(sm.m).to_vec(),
             fp_preshift: true,
         }
     }
