@@ -1,5 +1,6 @@
-//! ISSUE 2 hot-path benchmark suite: the Monte-Carlo tile simulator's
-//! cost pipeline, before/after the bucket-scan refactor, plus the
+//! Hot-path benchmark suite: the Monte-Carlo tile simulator's cost
+//! pipeline (EHU partition count, the batched backend on a real slab, the
+//! cluster FIFO replay), the sweep/serve/search paths, plus the
 //! end-to-end smoke-suite wall-clock.
 //!
 //! Unlike the other bench targets this one has a custom `main`: after the
@@ -8,7 +9,7 @@
 //! with `BENCH_OUT`), which CI uploads as an artifact and gates against
 //! `results/bench-baseline.json` (see the `bench_gate` binary).
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, Criterion, Throughput};
 use mpipu::{Scenario, Zoo};
 use mpipu_analysis::dist::{Distribution, ExpSampler};
 use mpipu_bench::events::NullSink;
@@ -18,9 +19,9 @@ use mpipu_bench::registry::Registry;
 use mpipu_bench::runner::{run_parallel, RunCtx, RunOptions};
 use mpipu_bench::suite::SMOKE_SCALE;
 use mpipu_datapath::Ehu;
-use mpipu_dnn::zoo::Pass;
-use mpipu_sim::cost::{reference::ReferenceCostModel, CostModel};
-use mpipu_sim::{simulate_clusters, Backend, TileConfig};
+use mpipu_explore::{Axis, Collect, NullSweepSink, ParamSpace, SweepEngine};
+use mpipu_sim::{simulate_clusters, Backend, CostBackend, CostQuery, MonteCarlo};
+use std::sync::Mutex;
 
 /// Pre-sample `count` product-exponent vectors of width `n` (backward
 /// tensors: the widest alignment spread, the worst case for the sort).
@@ -63,42 +64,77 @@ fn bench_ehu(c: &mut Criterion) {
     g.finish();
 }
 
-/// One Monte-Carlo broadcast step on the paper's big tile (64 IPUs × 16
-/// lanes): the optimized pipeline vs the retained pre-refactor pipeline.
-/// This is the ISSUE 2 acceptance benchmark (≥ 3× speedup target).
-fn bench_cost_model(c: &mut Criterion) {
-    let tile = TileConfig::big().with_cluster_size(16);
-    let mut g = c.benchmark_group("cost_model");
-    g.throughput(Throughput::Elements(tile.multipliers() as u64));
-    for pass in [Pass::Forward, Pass::Backward] {
-        let label = match pass {
-            Pass::Forward => "forward",
-            Pass::Backward => "backward",
-        };
-        let mut opt = CostModel::new(tile, 12, 28, pass, 1);
-        let mut out = vec![0u32; tile.clusters()];
-        g.bench_with_input(BenchmarkId::new("step/optimized", label), &(), |b, ()| {
-            b.iter(|| opt.sample_step_into(&mut out))
-        });
-        let mut refm = ReferenceCostModel::new(tile, 12, 28, pass, 1);
-        g.bench_with_input(BenchmarkId::new("step/reference", label), &(), |b, ()| {
-            b.iter(|| refm.sample_step())
-        });
+/// A Monte-Carlo backend that records every query it answers — how the
+/// bench below captures the exact slab a sweep hands the backend.
+#[derive(Debug, Default)]
+struct Recorder(Mutex<Vec<CostQuery>>);
+
+impl CostBackend for Recorder {
+    fn name(&self) -> &'static str {
+        "mc"
     }
+
+    fn window_cycles(&self, q: &CostQuery) -> f64 {
+        self.0.lock().unwrap().push(*q);
+        MonteCarlo.window_cycles(q)
+    }
+
+    fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
+        self.0.lock().unwrap().extend_from_slice(queries);
+        MonteCarlo.estimate_batch(queries, out);
+    }
+}
+
+/// The batched Monte-Carlo backend on the slab of fig8a's 16-input family
+/// at smoke scale (5 widths × 4 study cases, one query per layer): every
+/// draw class sampled once, every query priced from its class's draws.
+fn bench_monte_carlo(c: &mut Criterion) {
+    use mpipu_bench::experiments::fig8a;
+    use mpipu_dnn::zoo::Workload;
+
+    let cfg = fig8a::Config::paper(SMOKE_SCALE);
+    let recorder = std::sync::Arc::new(Recorder::default());
+    let space = ParamSpace::new(
+        Scenario::big_tile()
+            .software_precision(cfg.software_precision)
+            .n_tiles(cfg.n_tiles)
+            .sample_steps(cfg.sample_steps)
+            .seed(cfg.seed),
+    )
+    .axis(Axis::w(cfg.precisions.clone()))
+    .axis(Axis::workloads(Workload::paper_study_cases()));
+    SweepEngine::new().threads(1).backend(recorder.clone()).run(
+        &space,
+        Collect::new(),
+        &NullSweepSink,
+    );
+    let slab = std::mem::take(&mut *recorder.0.lock().unwrap());
+    let mut out = vec![0.0f64; slab.len()];
+    let mut g = c.benchmark_group("monte_carlo");
+    g.throughput(Throughput::Elements(slab.len() as u64));
+    g.bench_function("estimate_batch/fig8a_16_input", |b| {
+        b.iter(|| MonteCarlo.estimate_batch(&slab, &mut out))
+    });
     g.finish();
 }
 
-/// The cluster FIFO timing engine on a paper-scale layer window: the
-/// big tile at cluster size 16 (4 clusters) over 512 sampled steps.
+/// The cluster FIFO timing engine on a paper-scale layer window: 4
+/// clusters of 16 IPUs over 512 steps, each step costing 9 × the EHU
+/// partition count of the cluster's worst sampled backward-tensor vector
+/// at `w = 12`.
 fn bench_engine(c: &mut Criterion) {
-    let tile = TileConfig::big().with_cluster_size(16);
-    let costs = CostModel::new(tile, 12, 28, Pass::Backward, 7)
-        .sample_steps(512)
-        .per_cluster;
+    let (clusters, steps, ipus) = (4, 512, 16);
+    let vectors = product_vectors(clusters * steps * ipus, 16);
+    let ehu = Ehu::new(28);
+    let mut costs = vec![Vec::with_capacity(steps); clusters];
+    for (i, members) in vectors.chunks(ipus).enumerate() {
+        let worst = members.iter().map(|v| ehu.partition_count(v, 3)).max();
+        costs[i % clusters].push(9 * worst.unwrap());
+    }
     let mut g = c.benchmark_group("engine");
-    g.throughput(Throughput::Elements(512));
+    g.throughput(Throughput::Elements(steps as u64));
     g.bench_function("simulate_clusters/4x512", |b| {
-        b.iter(|| simulate_clusters(&costs, tile.buffer_depth))
+        b.iter(|| simulate_clusters(&costs, 4))
     });
     g.finish();
 }
@@ -292,7 +328,7 @@ fn bench_suite(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ehu,
-    bench_cost_model,
+    bench_monte_carlo,
     bench_engine,
     bench_fig8_sweep,
     bench_frontier_sweep,

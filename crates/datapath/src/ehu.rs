@@ -85,15 +85,69 @@ impl AlignmentPlan {
 
     /// Cycles per nibble iteration for an MC-IPU with safe precision `sp`.
     ///
-    /// Zero allocation on the bounded fast path: a popcount of the
-    /// partition bitmask.
+    /// Zero allocation on the bounded fast path: the stage-5 count
+    /// ([`occupied_windows`]) of the plan's alignment set.
     pub fn cycles(&self, sp: u32) -> u32 {
-        match self.partition_mask(sp) {
-            Some(mask) => mask.count_ones().max(1),
+        match alignment_set(self.shifts.iter().copied()) {
+            Some(set) => occupied_windows(set, sp),
             None => self.partitions_naive(sp).len() as u32,
         }
     }
 }
+
+/// Collect live alignments into an alignment set (bit `s` set ⇔ some lane
+/// aligns by `s`); `None` if any alignment is ≥ 64 (caller falls back to
+/// the sort path).
+fn alignment_set(shifts: impl Iterator<Item = Option<u32>>) -> Option<u64> {
+    let mut set = 0u64;
+    for s in shifts.flatten() {
+        if s >= u64::BITS {
+            return None;
+        }
+        set |= 1 << s;
+    }
+    Some(set)
+}
+
+/// EHU stage 5 on an alignment set: the number of safe-precision windows
+/// `[k·sp, (k+1)·sp)` holding at least one alignment — the cycles an
+/// MC-IPU spends per nibble iteration. An empty set (no live lane) idles
+/// one cycle. `sp = 0` is treated as 1.
+///
+/// The one definition of the count: [`AlignmentPlan::cycles`],
+/// [`Ehu::partition_count`] and the Monte-Carlo simulator all call it.
+pub fn occupied_windows(alignments: u64, sp: u32) -> u32 {
+    // Windows at or past 64 alignments hold nothing: clamp so the
+    // smearing below stays within the word.
+    let sp = sp.clamp(1, u64::BITS);
+    // Smear every alignment down over the `sp − 1` positions below it
+    // (bit `i` becomes the OR of bits `i..i + width`, widening until
+    // `width = sp`), so bit `k·sp` ends up set iff window `k` is occupied.
+    let mut smeared = alignments;
+    let mut width = 1;
+    while width < sp {
+        let step = width.min(sp - width);
+        smeared |= smeared >> step;
+        width += step;
+    }
+    (smeared & WINDOW_STARTS[sp as usize]).count_ones().max(1)
+}
+
+/// `WINDOW_STARTS[sp]` has bit `k·sp` set for every window starting below
+/// alignment 64.
+const WINDOW_STARTS: [u64; 65] = {
+    let mut table = [0u64; 65];
+    let mut sp = 1;
+    while sp <= 64 {
+        let mut start = 0;
+        while start < 64 {
+            table[sp] |= 1 << start;
+            start += sp;
+        }
+        sp += 1;
+    }
+    table
+};
 
 /// Bucket-scan the live alignments into a partition bitmask; `None` if
 /// any partition index is ≥ 64 (caller falls back to the sort path).
@@ -129,6 +183,11 @@ pub(crate) fn partition_bits(mut mask: u64) -> impl Iterator<Item = u32> {
         })
     })
 }
+
+/// Bit offset of product exponent `p` in the set form taken by
+/// [`Ehu::align_set`]: FP16 product exponents span `[-28, 30]`, so bit
+/// `p + PRODUCT_EXP_BIAS` lies in 0..=58.
+pub const PRODUCT_EXP_BIAS: i32 = 28;
 
 /// The exponent handling unit.
 ///
@@ -168,6 +227,29 @@ impl Ehu {
         (max_exp, shifts)
     }
 
+    /// EHU stages 2–4 on the set form of one inner product's product
+    /// exponents: `product_exps` has bit `p + PRODUCT_EXP_BIAS` set for
+    /// every live product exponent `p` (FP16 products span `[-28, 30]`,
+    /// so bits 0..=58). Lanes with equal exponents collapse into one bit,
+    /// which no later stage can tell apart. Returns the alignment set:
+    /// bit `s` set ⇔ some live lane aligns by `s ≤ software_precision`.
+    /// Stage 2 is the highest set bit; the empty set (every lane dead)
+    /// maps to the empty set.
+    pub fn align_set(&self, product_exps: u64) -> u64 {
+        if product_exps == 0 {
+            return 0;
+        }
+        let max = u64::BITS - 1 - product_exps.leading_zeros();
+        // Stage 3: reversing the word maps bit `b` to `63 − b`, and the
+        // shift moves the maximum to alignment 0 — bit `max − b`.
+        let aligned = product_exps.reverse_bits() >> (u64::BITS - 1 - max);
+        // Stage 4: keep alignments `0..=software_precision`.
+        match 1u64.checked_shl(self.software_precision.saturating_add(1)) {
+            Some(limit) => aligned & (limit - 1),
+            None => aligned,
+        }
+    }
+
     /// Compute the alignment plan for one FP inner product.
     ///
     /// `product_exps[k]` is the unbiased exponent of product `k`
@@ -183,27 +265,18 @@ impl Ehu {
     }
 
     /// Cycles per nibble iteration for safe precision `sp`, straight from
-    /// the product exponents — the Monte-Carlo simulator's hot path.
+    /// the product exponents.
     ///
     /// Equivalent to `self.plan(product_exps).cycles(sp)` but with zero
-    /// allocation: one pass for the max exponent (EHU stage 2) and one
-    /// bucket scan of the alignments into a `u64` partition bitmask
-    /// (stages 3–5), whose popcount is the cycle count. Falls back to the
-    /// allocating plan when a partition index would exceed 63, which
-    /// stage-4 masking rules out for any real FP16 configuration.
+    /// allocation: stages 2–4 (`Ehu::align`) collected into an
+    /// alignment set, then the stage-5 count ([`occupied_windows`]).
+    /// Falls back to the allocating plan when an alignment reaches 64,
+    /// which stage-4 masking rules out for any real FP16 configuration.
     pub fn partition_count(&self, product_exps: &[Option<i32>], sp: u32) -> u32 {
-        let Some(max_exp) = product_exps.iter().flatten().copied().max() else {
-            return 1; // all-zero vector: one idle cycle
-        };
-        let shifts = product_exps.iter().map(|e| {
-            e.and_then(|e| {
-                let s = (max_exp - e) as u32;
-                (s <= self.software_precision).then_some(s)
-            })
-        });
-        match partition_mask(shifts, sp) {
-            Some(mask) => mask.count_ones().max(1),
-            None => self.plan(product_exps).cycles(sp),
+        let (_, shifts) = self.align(product_exps.iter().copied());
+        match alignment_set(shifts) {
+            Some(set) => occupied_windows(set, sp),
+            None => self.plan(product_exps).partitions_naive(sp).len() as u32,
         }
     }
 }
@@ -309,6 +382,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn set_form_prices_the_walkthrough_like_the_plan() {
+        // Fig 4 as a product-exponent set: alignments {0, 2, 7, 8}.
+        let ehu = Ehu::new(28);
+        let set = [10, 2, 3, 8]
+            .iter()
+            .fold(0u64, |s, &e| s | 1 << (e + PRODUCT_EXP_BIAS));
+        let aligned = ehu.align_set(set);
+        assert_eq!(aligned, 1 | 1 << 2 | 1 << 7 | 1 << 8);
+        assert_eq!(occupied_windows(aligned, 5), 2);
+        assert_eq!(occupied_windows(aligned, 1), 4);
+        // Stage 4 drops alignments past the software precision, and an
+        // all-dead vector idles one cycle.
+        assert_eq!(Ehu::new(7).align_set(set), 1 | 1 << 2 | 1 << 7);
+        assert_eq!(ehu.align_set(0), 0);
+        assert_eq!(occupied_windows(0, 5), 1);
+        // The widest FP16 spread: products 30 and −28 align by 58.
+        let wide = 1u64 << 58 | 1;
+        assert_eq!(Ehu::new(64).align_set(wide), wide);
+        assert_eq!(occupied_windows(wide, u32::MAX), 1);
     }
 
     #[test]

@@ -466,6 +466,29 @@ proptest! {
         prop_assert_eq!(plan.cycles(sp), naive.len() as u32);
         prop_assert_eq!(ehu.partition_count(&exps, sp), naive.len() as u32);
     }
+
+    /// The set form of EHU stages 2–5 — the live FP16 product exponents
+    /// as a bit set, `Ehu::align_set`, then `occupied_windows` — prices
+    /// every product vector like the allocating plan and the sort-based
+    /// partition list. One case in four has every lane dead.
+    #[test]
+    fn set_rule_matches_naive_partitions(
+        exps in prop::collection::vec(prop::option::of(-28i32..=30), 0..=32),
+        all_dead in 0u32..4,
+        swp in 0u32..=64,
+        sp in 0u32..=64,
+    ) {
+        use mpipu_datapath::ehu::{occupied_windows, PRODUCT_EXP_BIAS};
+
+        let exps = if all_dead == 0 { vec![None; exps.len()] } else { exps };
+        let set = exps
+            .iter()
+            .flatten()
+            .fold(0u64, |set, &e| set | 1 << (e + PRODUCT_EXP_BIAS));
+        let ehu = mpipu_datapath::Ehu::new(swp);
+        let naive = ehu.plan(&exps).partitions_naive(sp);
+        prop_assert_eq!(occupied_windows(ehu.align_set(set), sp), naive.len() as u32);
+    }
 }
 
 proptest! {

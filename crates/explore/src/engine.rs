@@ -295,8 +295,9 @@ impl SweepEngine {
     /// Sweep the full cartesian product, folding in id order.
     ///
     /// # Panics
-    /// Panics when a precision schedule does not fit a workload of the
-    /// space (see [`ParamSpace::check_schedules`]).
+    /// Panics when a point of the space cannot be priced: a precision
+    /// schedule that does not fit a workload, or an unsound tile
+    /// geometry (see [`ParamSpace::check`]).
     pub fn run<F: Fold + Send>(
         &self,
         space: &ParamSpace,
@@ -315,7 +316,7 @@ impl SweepEngine {
     ///
     /// # Panics
     /// Panics when the range is inverted or reaches past the space, or
-    /// on a schedule that does not fit (as [`SweepEngine::run`]).
+    /// on a space that cannot be priced (as [`SweepEngine::run`]).
     pub fn run_range<F: Fold + Send>(
         &self,
         space: &ParamSpace,
@@ -337,8 +338,8 @@ impl SweepEngine {
     /// a full sweep.
     ///
     /// # Panics
-    /// Panics when an id is out of range, or on a schedule that does not
-    /// fit (as [`SweepEngine::run`]).
+    /// Panics when an id is out of range, or on a space that cannot be
+    /// priced (as [`SweepEngine::run`]).
     pub fn run_ids<F: Fold + Send>(
         &self,
         space: &ParamSpace,

@@ -72,4 +72,4 @@ pub use search::{
     SearchOutcome, SearchState, Searcher, SurrogateSearcher, Survivor, UniformSearcher,
 };
 pub use shard::{partition_units, ShardMerge, UnitFold, UnitRange};
-pub use space::{DesignId, DesignPointSpec, LabelTable, ParamSpace};
+pub use space::{DesignId, DesignPointSpec, LabelTable, ParamSpace, SpaceError};

@@ -1,8 +1,9 @@
 //! The sweep engine's evaluator: price a chunk of design points of a
 //! [`ParamSpace`] as one batched backend call.
 //!
-//! [`SlabPlan::new`] checks the space's schedules against its workloads
-//! ([`ParamSpace::check_schedules`]) and hoists everything
+//! [`SlabPlan::new`] checks that every point of the space can be priced
+//! — schedules that fit their workloads, sound tile geometry
+//! ([`ParamSpace::check`]) — and hoists everything
 //! rank-independent: per-axis label tables, the shared cost backend, and
 //! whether that backend is *seed-blind* (its [`CostQuery`] cache key
 //! ignores the sampling seed, as the analytic backends' do — probed
@@ -37,14 +38,14 @@
 
 use crate::axis::Axis;
 use crate::engine::PointEval;
-use crate::space::{DesignId, LabelTable, ParamSpace};
+use crate::space::{DesignId, LabelTable, ParamSpace, SpaceError};
 use mpipu::Scenario;
 use mpipu_analysis::dist::Distribution;
 use mpipu_dnn::zoo::Workload;
 use mpipu_hw::MetricsFactors;
 use mpipu_sim::cost::pass_distributions;
 use mpipu_sim::{
-    layer_steps, CostBackend, CostQuery, LayerPrecision, ScheduleError, SimDesign, SimOptions,
+    layer_steps, CostBackend, CostQuery, LayerPrecision, SimDesign, SimOptions,
     BASELINE_CYCLES_PER_STEP,
 };
 use std::collections::HashMap;
@@ -70,13 +71,13 @@ pub(crate) struct SlabPlan<'s> {
 }
 
 impl<'s> SlabPlan<'s> {
-    /// Plan a sweep of `space`, refusing one whose schedules do not fit
-    /// its workloads.
+    /// Plan a sweep of `space`, refusing one with a point that cannot be
+    /// priced ([`ParamSpace::check`]).
     pub(crate) fn new(
         space: &'s ParamSpace,
         override_backend: Option<&Arc<dyn CostBackend>>,
-    ) -> Result<SlabPlan<'s>, ScheduleError> {
-        space.check_schedules()?;
+    ) -> Result<SlabPlan<'s>, SpaceError> {
+        space.check()?;
         let lowered = space.base().try_lower()?;
         let backend = override_backend
             .cloned()

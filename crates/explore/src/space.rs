@@ -9,7 +9,7 @@
 
 use crate::axis::Axis;
 use mpipu::Scenario;
-use mpipu_sim::{LayerPrecision, Schedule, ScheduleError};
+use mpipu_sim::{LayerPrecision, Schedule, ScheduleError, TileConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -81,6 +81,56 @@ impl From<Vec<Vec<Arc<str>>>> for LabelTable {
             columns: columns.into_iter().map(LabelColumn::Dense).collect(),
         }
     }
+}
+
+/// Why a space cannot be swept ([`ParamSpace::check`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpaceError {
+    /// A precision schedule does not fit a workload the space reaches.
+    Schedule(ScheduleError),
+    /// A tile geometry no design can be priced at: a cluster size that
+    /// does not divide a reached tile's IPU count, a zero buffer depth,
+    /// or a zero tile count.
+    Geometry(String),
+}
+
+impl std::fmt::Display for SpaceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpaceError::Schedule(e) => e.fmt(f),
+            SpaceError::Geometry(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for SpaceError {}
+
+impl From<ScheduleError> for SpaceError {
+    fn from(e: ScheduleError) -> SpaceError {
+        SpaceError::Schedule(e)
+    }
+}
+
+/// A tile's own cluster size and buffer depth must be priceable.
+fn check_tile(tile: &TileConfig) -> Result<(), SpaceError> {
+    check_cluster(tile.cluster_size, tile.ipus())?;
+    check_at_least_one(tile.buffer_depth, "buffer depth")
+}
+
+fn check_cluster(size: usize, ipus: usize) -> Result<(), SpaceError> {
+    if size >= 1 && ipus.is_multiple_of(size) {
+        return Ok(());
+    }
+    Err(SpaceError::Geometry(format!(
+        "cluster size {size} must divide the IPU count {ipus} of every tile it reaches"
+    )))
+}
+
+fn check_at_least_one(value: usize, what: &str) -> Result<(), SpaceError> {
+    if value >= 1 {
+        return Ok(());
+    }
+    Err(SpaceError::Geometry(format!("{what} must be at least 1")))
 }
 
 /// Stable identifier of one design point within its [`ParamSpace`]: the
@@ -259,6 +309,57 @@ impl ParamSpace {
         Ok(())
     }
 
+    /// Check that every point of the space can be priced: its schedules
+    /// fit its workloads ([`ParamSpace::check_schedules`]) and its tile
+    /// geometry is sound. Every cluster size — the base tile's, a
+    /// [`crate::TileChoice`]'s own, or a [`Axis::Cluster`] value — must
+    /// divide the IPU count of every tile it reaches; buffer depths and
+    /// tile counts must be at least 1. Axis values are checked per axis,
+    /// never by enumerating their product. The sweep engine refuses
+    /// spaces that fail; hosts taking spaces from users (the daemon)
+    /// call this to reject them up front.
+    pub fn check(&self) -> Result<(), SpaceError> {
+        self.check_schedules()?;
+        let design = self.base.design();
+        check_tile(&design.tile)?;
+        check_at_least_one(design.n_tiles, "n_tiles")?;
+        // Distinct IPU counts of the tiles reachable so far: a cluster
+        // axis applies to whichever tile the earlier axes left in place.
+        let mut ipu_counts = vec![design.tile.ipus()];
+        for axis in &self.axes {
+            match axis {
+                Axis::Tile(choices) => {
+                    ipu_counts.clear();
+                    for tile in choices.iter().map(|c| c.config()) {
+                        check_tile(&tile)?;
+                        if !ipu_counts.contains(&tile.ipus()) {
+                            ipu_counts.push(tile.ipus());
+                        }
+                    }
+                }
+                Axis::Cluster(sizes) => {
+                    for &size in sizes {
+                        for &ipus in &ipu_counts {
+                            check_cluster(size, ipus)?;
+                        }
+                    }
+                }
+                Axis::BufferDepth(depths) => {
+                    for &depth in depths {
+                        check_at_least_one(depth, "buffer depth")?;
+                    }
+                }
+                Axis::NTiles(counts) => {
+                    for &n in counts {
+                        check_at_least_one(n, "n_tiles")?;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Draw `count` *distinct* design ids uniformly at random (without
     /// replacement — duplicates would waste backend queries), seeded and
     /// therefore reproducible. Uses Floyd's algorithm, so the cost is
@@ -288,7 +389,7 @@ impl ParamSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axis::WorkloadSel;
+    use crate::axis::{TileChoice, WorkloadSel};
     use mpipu::Zoo;
 
     fn space() -> ParamSpace {
@@ -409,6 +510,36 @@ mod tests {
             .axis(Axis::schedule(vec![custom]))
             .check_schedules()
             .is_err());
+    }
+
+    #[test]
+    fn check_refuses_geometries_no_tile_can_be_priced_at() {
+        let base = Scenario::small_tile();
+        let space = |axis: Axis| ParamSpace::new(base.clone()).axis(axis);
+        let geometry = |space: ParamSpace| match space.check() {
+            Err(SpaceError::Geometry(msg)) => msg,
+            other => panic!("expected a geometry error, got {other:?}"),
+        };
+        // The small tile has 32 IPUs, the big one 64.
+        assert!(geometry(space(Axis::cluster(vec![4, 3]))).contains("cluster size 3"));
+        assert!(geometry(space(Axis::buffer_depth(vec![2, 0]))).contains("buffer depth"));
+        assert!(geometry(space(Axis::n_tiles(vec![0]))).contains("n_tiles"));
+        assert!(geometry(ParamSpace::new(base.clone().n_tiles(0))).contains("n_tiles"));
+        let raw = TileConfig {
+            cluster_size: 5,
+            ..TileConfig::small()
+        };
+        assert!(geometry(ParamSpace::new(base.clone().tile_config(raw))).contains("size 5"));
+        // A cluster axis is checked against whichever tiles reach it: 64
+        // divides the big tile only.
+        let tiles = space(Axis::tile(vec![TileChoice::Small, TileChoice::Big]));
+        assert!(tiles.clone().axis(Axis::cluster(vec![16])).check().is_ok());
+        assert!(geometry(tiles.axis(Axis::cluster(vec![64]))).contains("size 64"));
+        let big = space(Axis::tile(vec![TileChoice::Big]));
+        assert_eq!(big.axis(Axis::cluster(vec![64])).check(), Ok(()));
+        // Schedule misfits still surface as schedule errors.
+        let mask = space(Axis::schedule_mask(5));
+        assert!(matches!(mask.check(), Err(SpaceError::Schedule(_))));
     }
 
     #[test]

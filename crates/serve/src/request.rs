@@ -30,6 +30,7 @@ use mpipu_analysis::dist::Distribution;
 use mpipu_bench::json::Json;
 use mpipu_dnn::zoo::Pass;
 use mpipu_explore::{grid_u32, objectives, Axis, Objective, ParamSpace, TileChoice, WorkloadSel};
+use mpipu_sim::TileConfig;
 
 /// Machine-readable error category carried on the wire (`error` events'
 /// `code` field).
@@ -582,11 +583,16 @@ impl ScenarioSpec {
         if let Some(p) = self.software_precision {
             s = s.software_precision(p);
         }
-        if let Some(c) = self.cluster {
-            s = s.cluster(c);
-        }
-        if let Some(d) = self.buffer_depth {
-            s = s.buffer_depth(d);
+        if self.cluster.is_some() || self.buffer_depth.is_some() {
+            // Written raw, not through the asserting scenario setters: a
+            // misfit value must reach `checked_space` as a `bad_request`
+            // instead of panicking the handler.
+            let tile = s.design().tile;
+            s = s.tile_config(TileConfig {
+                cluster_size: self.cluster.unwrap_or(tile.cluster_size),
+                buffer_depth: self.buffer_depth.unwrap_or(tile.buffer_depth),
+                ..tile
+            });
         }
         if let Some(n) = self.n_tiles {
             s = s.n_tiles(n);

@@ -373,7 +373,7 @@ impl Service {
     fn eval(&self, req: &EvalReq, emit: &(dyn Fn(&Json) + Sync)) -> Result<(), WireError> {
         self.counters.evals.fetch_add(1, Ordering::Relaxed);
         let start = self.backend.cache_stats();
-        let space = ParamSpace::new(req.scenario.to_scenario());
+        let space = checked_space(ParamSpace::new(req.scenario.to_scenario()))?;
         let eval = SweepEngine::new()
             .backend(self.backend.clone())
             .run_ids(&space, &[DesignId(0)], Collect::new(), &NullSweepSink)
@@ -584,11 +584,12 @@ impl Service {
     }
 }
 
-/// Refuse a space whose schedules do not fit its workloads (the engine
-/// would panic on it) as a `bad_request` carrying the schedule error.
+/// Refuse a space the engine would panic on — schedules that do not fit
+/// its workloads, tile geometry no design can be priced at
+/// ([`ParamSpace::check`]) — as a `bad_request` carrying the reason.
 pub(crate) fn checked_space(space: ParamSpace) -> Result<ParamSpace, WireError> {
     space
-        .check_schedules()
+        .check()
         .map_err(|e| WireError::bad_request(e.to_string()))?;
     Ok(space)
 }

@@ -98,6 +98,41 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
         assert!(r.find("sweep_started").is_none(), "{line} started a sweep");
     }
 
+    // Tile geometry no design can be priced at is refused the same way:
+    // a cluster size that does not divide the 32-IPU small tile, a zero
+    // FIFO depth, zero tiles — in an eval's scenario or on a sweep axis.
+    for (line, reason) in [
+        (
+            r#"{"req":"eval","scenario":{"tile":"small","cluster":5}}"#,
+            "cluster size 5",
+        ),
+        (
+            r#"{"req":"eval","scenario":{"buffer_depth":0}}"#,
+            "buffer depth",
+        ),
+        (r#"{"req":"eval","scenario":{"n_tiles":0}}"#, "n_tiles"),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"cluster","values":[3]}]}"#,
+            "cluster size 3",
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"n_tiles","values":[0]}]}"#,
+            "n_tiles",
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"buffer_depth","values":[0]}]}"#,
+            "buffer depth",
+        ),
+    ] {
+        client.send_line(line).unwrap();
+        let r = client.collect_response().unwrap();
+        assert!(!r.ok, "{line}");
+        let (code, message) = r.error().unwrap();
+        assert_eq!(code, "bad_request", "{line}: {message}");
+        assert!(message.contains(reason), "{line}: {message}");
+        assert!(r.find("sweep_started").is_none(), "{line} started a sweep");
+    }
+
     // Same connection still serves real requests.
     let r = client.request(&Request::List).unwrap();
     assert!(r.ok, "connection survives malformed lines");

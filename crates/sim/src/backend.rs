@@ -6,9 +6,11 @@
 //! the object-safe seam that produces it, with three implementations:
 //!
 //! * [`MonteCarlo`] — the default and the ground truth: draw operand
-//!   exponents per step ([`CostModel`]) and replay the cluster FIFOs
-//!   ([`simulate_clusters`]). Bit-identical to the pre-seam pipeline —
-//!   the suite's result JSONs do not change by a byte.
+//!   exponents per step and replay the cluster FIFOs
+//!   ([`crate::simulate_clusters`]). Its [`CostBackend::estimate_batch`] samples
+//!   each draw class of a slab once and prices every query of the class
+//!   from that one sample ([`crate::cost`]); `window_cycles` is a
+//!   one-query batch.
 //! * [`Analytic`] — no RNG at all: the *exact* per-IPU partition-count
 //!   distribution is computed in closed form from the two operands' FP16
 //!   exponent PMFs ([`Distribution::exponent_buckets`] — the same exact
@@ -37,8 +39,8 @@
 //! selects one with `.backend(Backend::Analytic)`, and the suite CLI
 //! exposes `--backend {mc,analytic,analytic-batched,memoized,memoized-analytic}`.
 
-use crate::cost::{safe_precision, CostModel};
-use crate::engine::{constant_stream_cycles, simulate_clusters};
+use crate::cost::safe_precision;
+use crate::engine::constant_stream_cycles;
 use crate::tile::TileConfig;
 use mpipu_analysis::dist::Distribution;
 use std::collections::HashMap;
@@ -108,8 +110,8 @@ pub trait CostBackend: fmt::Debug + Send + Sync {
     /// [`CostBackend::window_cycles`] answer for `queries[i]`.
     ///
     /// The default loops over `window_cycles` — always correct, never
-    /// faster. Batched backends
-    /// ([`crate::slab::AnalyticBatched`]) override it to hoist work
+    /// faster. Batched backends ([`MonteCarlo`],
+    /// [`crate::slab::AnalyticBatched`]) override it to hoist work
     /// shared between queries; results must stay bit-identical to the
     /// scalar path, so callers (the sweep engine's slab fast path) may
     /// pick freely between the two.
@@ -377,8 +379,11 @@ impl Backend {
     }
 }
 
-/// The Monte-Carlo backend: today's [`CostModel`] sampling pipeline plus
-/// the cluster-FIFO replay, unchanged numerics.
+/// The Monte-Carlo backend: sampled operand exponents priced by the EHU
+/// rule, plus the cluster-FIFO replay ([`crate::cost`] has the batch loop).
+///
+/// Every query is answered from its own draw class's sample, so a query's
+/// answer never depends on the slab it arrives in.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MonteCarlo;
 
@@ -388,10 +393,16 @@ impl CostBackend for MonteCarlo {
     }
 
     fn window_cycles(&self, q: &CostQuery) -> f64 {
-        let mut model =
-            CostModel::with_distributions(q.tile, q.w, q.software_precision, q.dists, q.seed);
-        let costs = model.sample_steps(q.window);
-        simulate_clusters(&costs.per_cluster, q.tile.buffer_depth) as f64
+        let mut out = [0.0f64];
+        self.estimate_batch(std::slice::from_ref(q), &mut out);
+        out[0]
+    }
+
+    /// # Panics
+    /// Panics if `queries.len() != out.len()`, if a cluster size does not
+    /// divide its tile's IPU count, or on a buffer depth of 0.
+    fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
+        crate::cost::estimate_batch(queries, out);
     }
 }
 
@@ -584,8 +595,12 @@ pub(crate) fn ipu_partition_pmf(
     dead: f64,
     live: &[f64; PROD_EXPS],
 ) -> Vec<f64> {
-    let sp = sp.max(1) as usize; // same guard as Ehu::partition_count
-    let swp = swp as usize;
+    let sp = sp.max(1) as usize; // same guard as `occupied_windows`
+
+    // No FP16 alignment exceeds `PROD_EXPS − 1`: windows beyond it can
+    // never be occupied, so a wider software precision changes nothing
+    // but the size of the tables below.
+    let swp = (swp as usize).min(PROD_EXPS - 1);
     let top_partition = swp / sp; // windows 1..=top_partition exist
     let choose = pascal(n);
     let mut out = vec![0.0f64; top_partition + 1];
@@ -922,8 +937,8 @@ impl CostBackend for Memoized {
     /// one [`CostBackend::estimate_batch`] call.
     ///
     /// This keeps a memoization layer transparent on the sweep engine's
-    /// slab fast path: batched inner backends
-    /// ([`crate::slab::AnalyticBatched`]) guarantee each query's batch
+    /// slab fast path: batched inner backends ([`MonteCarlo`],
+    /// [`crate::slab::AnalyticBatched`]) guarantee each query's batch
     /// answer is a function of that query alone, so evaluating the miss
     /// subset is bit-identical to evaluating the full slab — and to the
     /// scalar [`CostBackend::window_cycles`] path. Duplicate keys inside
@@ -1004,11 +1019,41 @@ mod tests {
 
     #[test]
     fn monte_carlo_backend_matches_inline_pipeline() {
-        let q = query(TileConfig::small(), 12, Pass::Backward, 42);
+        use crate::engine::simulate_clusters;
+        use mpipu_analysis::dist::ExpSampler;
+        use mpipu_datapath::Ehu;
+
+        let tile = TileConfig::small().with_cluster_size(8);
+        let q = query(tile, 12, Pass::Backward, 42);
         let via_backend = MonteCarlo.window_cycles(&q);
-        let mut model =
-            CostModel::with_distributions(q.tile, q.w, q.software_precision, q.dists, q.seed);
-        let direct = simulate_clusters(&model.sample_steps(q.window).per_cluster, 4) as f64;
+        // Per step: pixel-major activations, then k-major weights; each
+        // IPU pays 9 × its EHU partition count, each cluster the max.
+        let (n, pixels) = (tile.c_unroll, tile.pixels());
+        let mut act = ExpSampler::new(q.dists.0, q.seed);
+        let mut wgt = ExpSampler::new(q.dists.1, q.seed ^ 0x9e37_79b9);
+        let mut acts = vec![None; pixels * n];
+        let mut wgts = vec![None; tile.k_unroll * n];
+        let ehu = Ehu::new(q.software_precision);
+        let sp = safe_precision(q.w, q.software_precision);
+        let mut streams = vec![Vec::new(); tile.clusters()];
+        for _ in 0..q.window {
+            act.fill(&mut acts);
+            wgt.fill(&mut wgts);
+            let mut step = vec![0u32; tile.clusters()];
+            for k in 0..tile.k_unroll {
+                for pixel in 0..pixels {
+                    let prod: Vec<Option<i32>> = (0..n)
+                        .map(|i| Some(acts[pixel * n + i]? + wgts[k * n + i]?))
+                        .collect();
+                    let cluster = (k * pixels + pixel) / tile.cluster_size;
+                    step[cluster] = step[cluster].max(9 * ehu.partition_count(&prod, sp));
+                }
+            }
+            for (stream, cost) in streams.iter_mut().zip(step) {
+                stream.push(cost);
+            }
+        }
+        let direct = simulate_clusters(&streams, tile.buffer_depth) as f64;
         assert_eq!(via_backend, direct);
     }
 
@@ -1027,6 +1072,30 @@ mod tests {
             assert!((step.cluster_mean() - 9.0).abs() < 1e-9, "w={w} swp={swp}");
             assert!(step.cluster_variance() < 1e-9);
         }
+    }
+
+    #[test]
+    fn partition_range_is_capped_at_the_widest_fp16_alignment() {
+        // Alignments never exceed 58, so software precisions past it
+        // price exactly like 58 — in at most 59 pmf entries.
+        let dists = crate::cost::pass_distributions(Pass::Backward);
+        let tile = TileConfig::small();
+        for w in [12u32, 16] {
+            let at58 = StepCost::new(&tile, w, 58, dists);
+            for swp in [10_000_000u32, u32::MAX] {
+                let step = StepCost::new(&tile, w, swp, dists);
+                assert!(step.partitions_pmf.len() <= 59, "swp {swp}");
+                assert_eq!(
+                    step.cluster_mean().to_bits(),
+                    at58.cluster_mean().to_bits(),
+                    "w {w} swp {swp}"
+                );
+            }
+        }
+        // w ≥ swp at u32::MAX: the safe precision saturates instead of
+        // overflowing, and one partition covers everything.
+        let full = StepCost::new(&tile, u32::MAX, u32::MAX, dists);
+        assert_eq!(full.partitions_pmf.len(), 1);
     }
 
     /// `E[partition count]` by the direct inclusion formula
@@ -1093,28 +1162,40 @@ mod tests {
         }
     }
 
+    /// MC mean cluster step cost over `steps` steps: on a one-cluster
+    /// tile the window's cycles are exactly the sum of its step costs.
+    fn mc_step_mean(tile: TileConfig, w: u32, pass: Pass, seed: u64, steps: usize) -> f64 {
+        assert_eq!(tile.clusters(), 1, "one cluster: cycles sum the steps");
+        let q = CostQuery {
+            window: steps,
+            ..query(tile, w, pass, seed)
+        };
+        MonteCarlo.window_cycles(&q) / steps as f64
+    }
+
     #[test]
     fn analytic_matches_monte_carlo_mean_on_single_ipu_clusters() {
         // cluster_size = 1 removes the only approximation (independent
         // IPUs within a cluster): the analytic expectation is exact, so
-        // the MC sample mean must land within CLT distance of it.
+        // the MC sample mean must land within CLT distance of it. One
+        // 8-lane IPU is its own single cluster.
         for (w, pass, seed) in [
             (12u32, Pass::Backward, 7u64),
             (16, Pass::Backward, 8),
             (12, Pass::Forward, 9),
             (20, Pass::Forward, 10),
         ] {
-            let tile = TileConfig::small().with_cluster_size(1);
+            let tile = TileConfig {
+                k_unroll: 1,
+                h_unroll: 1,
+                w_unroll: 1,
+                ..TileConfig::small()
+            }
+            .with_cluster_size(1);
             let dists = crate::cost::pass_distributions(pass);
             let step = StepCost::new(&tile, w, 28, dists);
             let steps = 600;
-            let mut model = CostModel::with_distributions(tile, w, 28, dists, seed);
-            let costs = model.sample_steps(steps);
-            let flat: Vec<u32> = costs.per_cluster.concat();
-            let mc_mean = flat.iter().map(|&c| f64::from(c)).sum::<f64>() / flat.len() as f64;
-            // Per-step cluster averages are correlated across clusters
-            // (shared operands), so only credit `steps` independent
-            // samples, not `steps × clusters`.
+            let mc_mean = mc_step_mean(tile, w, pass, seed, steps);
             let tol = 6.0 * (step.cluster_variance() / steps as f64).sqrt() + 1e-9;
             assert!(
                 (mc_mean - step.cluster_mean()).abs() <= tol,
@@ -1129,18 +1210,22 @@ mod tests {
         // Full-tile clusters share operand vectors between IPUs, which
         // the analytic order-statistics max ignores: document (and pin)
         // that the approximation stays within 10% on the paper designs.
+        // A 16-IPU cluster of the big tile spans 4 filters × 4 pixels —
+        // exactly the one cluster of a 4-filter big tile.
+        let big_cluster16 = TileConfig {
+            k_unroll: 4,
+            ..TileConfig::big()
+        }
+        .with_cluster_size(16);
         for (tile, w, pass) in [
             (TileConfig::small(), 12u32, Pass::Backward),
             (TileConfig::small(), 16, Pass::Forward),
             (TileConfig::big(), 12, Pass::Backward),
-            (TileConfig::big().with_cluster_size(16), 16, Pass::Backward),
+            (big_cluster16, 16, Pass::Backward),
         ] {
             let dists = crate::cost::pass_distributions(pass);
             let step = StepCost::new(&tile, w, 28, dists);
-            let steps = 800;
-            let mut model = CostModel::with_distributions(tile, w, 28, dists, 3);
-            let flat: Vec<u32> = model.sample_steps(steps).per_cluster.concat();
-            let mc_mean = flat.iter().map(|&c| f64::from(c)).sum::<f64>() / flat.len() as f64;
+            let mc_mean = mc_step_mean(tile, w, pass, 3, 800);
             let rel = (step.cluster_mean() - mc_mean).abs() / mc_mean;
             assert!(
                 rel < 0.10,

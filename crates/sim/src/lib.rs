@@ -22,10 +22,11 @@
 //! exactly the stall semantics of §3.3.
 //!
 //! Per-step costs flow through a pluggable [`backend::CostBackend`]:
-//! the default [`backend::MonteCarlo`] samples alignment plans from the
+//! the default [`backend::MonteCarlo`] samples operand exponents from the
 //! workload's value distributions (the paper samples real tensors; see
-//! `DESIGN.md` for the substitution) using the *same* EHU logic as the
-//! bit-accurate datapath; [`backend::Analytic`] computes the expected
+//! `DESIGN.md` for the substitution) and prices them with the *same* EHU
+//! rule as the bit-accurate datapath, drawing once per draw class of a
+//! query slab ([`cost`]); [`backend::Analytic`] computes the expected
 //! step cost in closed form from the exponent PMFs; and
 //! [`backend::Memoized`] caches either across sweeps. The simulator
 //! assumes an ideal memory hierarchy, as the paper does.
@@ -46,7 +47,7 @@ pub use backend::{
     Analytic, Backend, CacheKey, CacheStats, CostBackend, CostQuery, Memoized, MonteCarlo,
     StepCost, CACHE_KEY_WORDS,
 };
-pub use cost::{step_costs_from_exps, CostModel, StepCosts, BASELINE_CYCLES_PER_STEP};
+pub use cost::BASELINE_CYCLES_PER_STEP;
 pub use engine::{constant_stream_cycles, simulate_clusters};
 pub use mixed::{first_last_fp16, run_mixed, LayerPrecision, MixedResult, Schedule, ScheduleError};
 pub use result::{LayerResult, WorkloadResult};
