@@ -170,39 +170,12 @@ fn bench_fig8_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// ISSUE 5 acceptance benchmark: the full `frontier` design-space sweep
-/// (≥ 10⁴ points through the exploration engine on a memoized-analytic
-/// backend, Pareto + top-k folds) — the acceptance bound is < 5 s, so
-/// per-iteration time here must stay in the sub-second range. The
-/// backend is pinned explicitly: `Config::paper` now defaults to the
-/// batched backend (measured by `frontier_sweep_batched` below), and
-/// this record must keep timing the point-at-a-time memoized path.
-fn bench_frontier_sweep(c: &mut Criterion) {
-    let cfg = frontier::Config::paper(SMOKE_SCALE);
-    let points = frontier::space(&cfg).len();
-    let mut g = c.benchmark_group("frontier_sweep");
-    g.throughput(Throughput::Elements(points));
-    g.bench_function("analytic_memoized_full_grid", |b| {
-        b.iter(|| {
-            // A fresh config per iteration: the cold cache *is* the
-            // workload being measured (steady-state hits were covered by
-            // fig8_sweep above).
-            let mut cfg = frontier::Config::paper(SMOKE_SCALE);
-            cfg.backend = Backend::MemoizedAnalytic.instantiate();
-            let report = frontier::run(&cfg, &RunCtx::new(cfg.scale, &NullSink));
-            assert!(!report.tables.is_empty());
-            report.tables.len()
-        })
-    });
-    g.finish();
-}
-
-/// ISSUE 7 acceptance benchmark: the same full 14 880-point frontier
-/// grid through the batched analytic backend's slab fast path — whole
-/// axis-contiguous chunks per `estimate_batch` call, one alignment DP
-/// per parameter equivalence class. The acceptance bound is ≤ 10 ms
-/// per full-grid sweep (≥ 30× over `frontier_sweep`'s committed
-/// baseline), held by the CI gate's `--require` bound on this record.
+/// The slab path's acceptance benchmark: the full 14 880-point
+/// `frontier` grid through the analytic backend — whole axis-contiguous
+/// chunks per `estimate_batch` call, one alignment DP per parameter
+/// equivalence class. The acceptance bound is ≤ 10 ms per full-grid
+/// sweep (≥ 30× over the 368 ms point-at-a-time sweep it replaced),
+/// held by the CI gate's `--require` bound on this record.
 fn bench_frontier_sweep_batched(c: &mut Criterion) {
     let cfg = frontier::Config::paper(SMOKE_SCALE);
     let points = frontier::space(&cfg).len();
@@ -274,7 +247,7 @@ fn bench_search(c: &mut Criterion) {
             search.max_evals = cfg.sched_max_evals;
             search.seed = cfg.seed;
             let out = SearchEngine::new(search)
-                .engine(SweepEngine::new().backend(Backend::AnalyticBatched.instantiate()))
+                .engine(SweepEngine::new().backend(Backend::Analytic.instantiate()))
                 .run(&guided::schedule_space(&cfg), &NullSweepSink);
             assert!(!out.frontier.is_empty());
             out.evaluated
@@ -297,7 +270,7 @@ fn bench_search(c: &mut Criterion) {
             search.max_evals = cfg.max_evals;
             search.seed = cfg.seed;
             let out = SearchEngine::new(search)
-                .engine(SweepEngine::new().backend(Backend::AnalyticBatched.instantiate()))
+                .engine(SweepEngine::new().backend(Backend::Analytic.instantiate()))
                 .run(&frontier::space(&cfg.grid), &NullSweepSink);
             assert!(!out.frontier.is_empty());
             out.evaluated
@@ -331,7 +304,6 @@ criterion_group!(
     bench_monte_carlo,
     bench_engine,
     bench_fig8_sweep,
-    bench_frontier_sweep,
     bench_frontier_sweep_batched,
     bench_frontier_serve,
     bench_search,

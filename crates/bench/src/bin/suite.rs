@@ -7,8 +7,7 @@
 //!       [--threads N]          worker threads (0 or omitted = one per CPU)
 //!       [--only a,b,c]         run a comma-separated subset
 //!       [--backend B]          cost backend: mc (default), analytic,
-//!                              analytic-batched, memoized,
-//!                              memoized-analytic
+//!                              memoized, memoized-analytic
 //!       [--out DIR]            results directory (default: results/)
 //!       [--seed N]             override seeds (per-experiment derived)
 //!       [--events FILE]        stream JSONL run events to FILE

@@ -44,8 +44,8 @@ impl Experiment for Guided {
     fn run(&self, ctx: &RunCtx<'_>) -> Report {
         let mut cfg = Config::paper(ctx.scale);
         cfg.seed = ctx.seed_for(self.name(), cfg.seed);
-        // Like `frontier`, the grid is only tractable analytically, so
-        // the suite's Monte-Carlo default is overridden unless the user
+        // Like `frontier`, the search runs on the analytic backend: the
+        // suite's Monte-Carlo default is overridden unless the user
         // pinned a backend explicitly.
         if ctx.backend_explicit {
             cfg.backend = ctx.backend.clone();
@@ -238,7 +238,7 @@ pub fn run(cfg: &Config, ctx: &RunCtx<'_>) -> Report {
                 .chunk_size(64)
                 .backend(cfg.backend.clone()),
         )
-        .confirm_backend(Backend::AnalyticBatched.escalated().instantiate())
+        .confirm_backend(Backend::Analytic.escalated().instantiate())
         .run(&sched, &sink);
     ctx.progress(
         "guided",

@@ -134,6 +134,13 @@ mod tests {
         let err = backend_from(&args(&["--backend", "analitic"])).unwrap_err();
         assert!(err.contains("valid names: mc, analytic"), "{err}");
         assert!(err.contains("did you mean \"analytic\"?"), "{err}");
+        // The batched backend's former name is gone; the error lists the
+        // four that remain.
+        let err = backend_from(&args(&["--backend", "analytic-batched"])).unwrap_err();
+        assert!(
+            err.contains("valid names: mc, analytic, memoized, memoized-analytic"),
+            "{err}"
+        );
     }
 
     #[test]

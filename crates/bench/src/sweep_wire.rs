@@ -100,7 +100,7 @@ mod tests {
             },
             SweepEvent::BackendStats {
                 backend: "memoized",
-                inner: "analytic-batched",
+                inner: "analytic",
                 hits: 5,
                 misses: 3,
                 entries: 3,

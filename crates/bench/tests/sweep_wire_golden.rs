@@ -29,7 +29,7 @@ fn specimen_lines() -> String {
         },
         SweepEvent::BackendStats {
             backend: "memoized",
-            inner: "analytic-batched",
+            inner: "analytic",
             hits: 13000,
             misses: 1880,
             entries: 1880,

@@ -31,43 +31,15 @@ impl AlignmentPlan {
         self.shifts.iter().filter(|s| s.is_some()).count()
     }
 
-    /// The MC-IPU partition index of each live lane for safe precision
-    /// `sp`: lane with alignment `s` executes in cycle `⌊s / sp⌋`.
-    pub fn partition_of(&self, lane: usize, sp: u32) -> Option<u32> {
-        self.shifts[lane].map(|s| s / sp.max(1))
-    }
-
-    /// The occupied partitions as a bitmask (bit `k` set ⇔ some live lane
-    /// executes in cycle `k`), or `None` when a partition index exceeds
-    /// 63 and the bounded bucket scan does not apply.
-    ///
-    /// For FP16 product exponents the alignment range is bounded (stage 4
-    /// masks anything beyond the software precision, itself ≤ 28 for FP32
-    /// accumulation), so every partition index fits in a `u64` mask and
-    /// the scan is a single O(n) pass with zero allocation.
-    pub fn partition_mask(&self, sp: u32) -> Option<u64> {
-        partition_mask(self.shifts.iter().copied(), sp)
-    }
-
     /// The set of non-empty partitions (sorted ascending) for safe
-    /// precision `sp` — the number of cycles an MC-IPU spends per nibble
-    /// iteration (paper §3.2). Empty input ⇒ one (idle) cycle.
+    /// precision `sp` — lane with alignment `s` executes in cycle
+    /// `⌊s / sp⌋`, and the list's length is the number of cycles an
+    /// MC-IPU spends per nibble iteration (paper §3.2). Empty input ⇒ one
+    /// (idle) cycle.
     ///
-    /// Counting-sort fast path: scan the lanes once into a partition
-    /// bitmask and read the sorted set out of it (O(n + range), no
-    /// comparison sort). Falls back to [`Self::partitions_naive`] in the
-    /// unbounded case (partition index ≥ 64), which cannot arise from
-    /// stage-4-masked FP16 plans.
-    pub fn partitions(&self, sp: u32) -> Vec<u32> {
-        match self.partition_mask(sp) {
-            Some(mask) => mask_to_partitions(mask),
-            None => self.partitions_naive(sp),
-        }
-    }
-
-    /// Sort-based reference implementation of [`Self::partitions`],
-    /// retained as the equivalence oracle for the property tests and as
-    /// the benchmark baseline.
+    /// The sort rule: the only one for alignments ≥ 64, which
+    /// [`Ehu::plan`]'s `i32` input allows, and the equivalence oracle of
+    /// [`occupied_windows`] in the property tests and the benchmarks.
     pub fn partitions_naive(&self, sp: u32) -> Vec<u32> {
         let mut ks: Vec<u32> = self
             .shifts
@@ -148,30 +120,6 @@ const WINDOW_STARTS: [u64; 65] = {
     }
     table
 };
-
-/// Bucket-scan the live alignments into a partition bitmask; `None` if
-/// any partition index is ≥ 64 (caller falls back to the sort path).
-fn partition_mask(shifts: impl Iterator<Item = Option<u32>>, sp: u32) -> Option<u64> {
-    let sp = sp.max(1);
-    let mut mask = 0u64;
-    for s in shifts.flatten() {
-        let k = s / sp;
-        if k >= u64::BITS {
-            return None;
-        }
-        mask |= 1 << k;
-    }
-    Some(mask)
-}
-
-/// Expand a partition bitmask into the ascending partition list (empty
-/// mask ⇒ the single idle partition 0).
-fn mask_to_partitions(mask: u64) -> Vec<u32> {
-    if mask == 0 {
-        return vec![0];
-    }
-    partition_bits(mask).collect()
-}
 
 /// The set bits of a partition bitmask, ascending.
 pub(crate) fn partition_bits(mut mask: u64) -> impl Iterator<Item = u32> {
@@ -296,12 +244,9 @@ mod tests {
         let plan = Ehu::new(28).plan(&exps(&[10, 2, 3, 8]));
         assert_eq!(plan.max_exp, 10);
         assert_eq!(plan.shifts, vec![Some(0), Some(8), Some(7), Some(2)]);
-        assert_eq!(plan.partitions(5), vec![0, 1]);
+        assert_eq!(plan.partitions_naive(5), vec![0, 1]);
         assert_eq!(plan.cycles(5), 2);
-        assert_eq!(plan.partition_of(0, 5), Some(0));
-        assert_eq!(plan.partition_of(1, 5), Some(1));
-        assert_eq!(plan.partition_of(2, 5), Some(1));
-        assert_eq!(plan.partition_of(3, 5), Some(0));
+        assert_eq!(Ehu::new(28).partition_count(&exps(&[10, 2, 3, 8]), 5), 2);
     }
 
     #[test]
@@ -339,7 +284,8 @@ mod tests {
         // (w = 12) and software precision 28, alignments 0 and 28 live.
         let plan = Ehu::new(28).plan(&exps(&[30, -28, 2]));
         assert_eq!(plan.shifts, vec![Some(0), None, Some(28)]);
-        assert_eq!(plan.partitions(3), vec![0, 9]);
+        assert_eq!(plan.partitions_naive(3), vec![0, 9]);
+        assert_eq!(plan.cycles(3), 2);
     }
 
     #[test]
@@ -355,11 +301,10 @@ mod tests {
             let plan = Ehu::new(28).plan(&exps(exps_raw));
             for sp in 1..=29 {
                 assert_eq!(
-                    plan.partitions(sp),
-                    plan.partitions_naive(sp),
+                    plan.cycles(sp),
+                    plan.partitions_naive(sp).len() as u32,
                     "exps {exps_raw:?} sp {sp}"
                 );
-                assert_eq!(plan.cycles(sp), plan.partitions_naive(sp).len() as u32);
             }
         }
     }
@@ -413,8 +358,7 @@ mod tests {
         let ehu = Ehu::new(10_000);
         let v = exps(&[0, -1000, -400]);
         let plan = ehu.plan(&v);
-        assert_eq!(plan.partition_mask(1), None);
-        assert_eq!(plan.partitions(1), vec![0, 400, 1000]);
+        assert_eq!(plan.partitions_naive(1), vec![0, 400, 1000]);
         assert_eq!(plan.cycles(1), 3);
         assert_eq!(ehu.partition_count(&v, 1), 3);
     }
@@ -424,7 +368,11 @@ mod tests {
         // Alignment exactly k·sp belongs to partition k.
         let plan = Ehu::new(28).plan(&exps(&[10, 5, 10 - 5 - 4]));
         assert_eq!(plan.shifts, vec![Some(0), Some(5), Some(9)]);
-        assert_eq!(plan.partition_of(1, 5), Some(1));
-        assert_eq!(plan.partition_of(2, 5), Some(1));
+        assert_eq!(plan.partitions_naive(5), vec![0, 1]);
+        assert_eq!(plan.cycles(5), 2);
+        // One below the boundary, alignment 4 stays in partition 0.
+        let below = Ehu::new(28).plan(&exps(&[10, 6]));
+        assert_eq!(below.partitions_naive(5), vec![0]);
+        assert_eq!(below.cycles(5), 1);
     }
 }

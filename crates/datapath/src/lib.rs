@@ -7,7 +7,7 @@
 //! * **INT mode** — intrinsic INT4 (signed or unsigned) dot products in one
 //!   cycle, and INT8/INT12/INT16 via temporal *nibble iterations*
 //!   (`Ka × Kb` cycles for `Ka`/`Kb`-nibble operands).
-//! * **FP mode** — FP16 (and BF16/TF32) dot products decomposed into nibble
+//! * **FP mode** — FP16 dot products decomposed into nibble
 //!   iterations over 12-bit signed magnitudes, with exponent alignment
 //!   through the **exponent handling unit** ([`ehu::Ehu`]), per-lane local
 //!   right-shift-and-truncate ([`lane`]), a `w`-bit adder tree, and a
@@ -36,10 +36,8 @@
 #![warn(missing_docs)]
 
 pub mod accum;
-pub mod chunked;
 pub mod config;
 pub mod ehu;
-pub mod generic;
 pub mod ipu;
 mod kernel;
 pub mod lane;
@@ -49,10 +47,8 @@ pub mod reference;
 pub mod theory;
 
 pub use accum::Accumulator;
-pub use chunked::{chunks_from_int, ChunkedIpu};
 pub use config::{AccFormat, IpuConfig};
 pub use ehu::{AlignmentPlan, Ehu};
-pub use generic::{fp_ip_generic, GenericFpResult};
 pub use ipu::{FpIpResult, IntSignedness, Ipu};
 pub use kernel::FpOperand;
 pub use mc::{McIpu, McSchedule};

@@ -14,16 +14,14 @@
 //! * [`layers`] — conv2d / linear / relu / pooling / softmax forward
 //!   passes, each with a reference f32 path and an *emulated* path that
 //!   routes every inner product through the bit-accurate IPU datapath.
-//! * [`train`] / [`cnn`] — tiny from-scratch SGD trainers (an MLP and a
-//!   conv/pool/linear CNN with hand-written backprop) for the
-//!   accuracy-vs-precision study (§3.1: "IPU precision of 12 or more
-//!   maintains the same accuracy").
+//! * [`train`] — a tiny from-scratch SGD trainer (an MLP with
+//!   hand-written backprop) for the accuracy-vs-precision study (§3.1:
+//!   "IPU precision of 12 or more maintains the same accuracy").
 //! * [`synthetic`] — deterministic synthetic datasets and tensor fillers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cnn;
 pub mod layers;
 pub mod shape;
 pub mod synthetic;
@@ -31,7 +29,6 @@ pub mod tensor;
 pub mod train;
 pub mod zoo;
 
-pub use cnn::{cnn_accuracy_emulated, cnn_accuracy_f32, train_cnn, SmallCnn};
 pub use layers::{conv2d_emulated, conv2d_f32, linear_decoded, linear_emulated, linear_f32};
 pub use shape::ConvShape;
 pub use tensor::Tensor;

@@ -677,7 +677,7 @@ mod tests {
                 *stats.lock().unwrap() = Some((backend.to_string(), *hits, *misses));
             }
         });
-        let backend = Backend::AnalyticBatched.instantiate();
+        let backend = Backend::Analytic.instantiate();
         let space = space();
         let slab = SweepEngine::new()
             .backend(backend.clone())
@@ -702,7 +702,7 @@ mod tests {
             );
         }
         let (backend, hits, misses) = stats.into_inner().unwrap().expect("stats event");
-        assert_eq!(backend, "analytic-batched");
+        assert_eq!(backend, "analytic");
         // 8 designs over 4 w values share 4 DP classes (cluster size
         // scales after the DP): every class is computed exactly once.
         assert!(
@@ -715,7 +715,7 @@ mod tests {
     fn run_ids_matches_the_full_sweep_on_arbitrary_lists() {
         let space = space();
         let engine = SweepEngine::new()
-            .backend(Backend::AnalyticBatched.instantiate())
+            .backend(Backend::Analytic.instantiate())
             .chunk_size(3);
         let full = engine.run(&space, Collect::new(), &NullSweepSink);
         // Non-contiguous, non-monotone, repeating list: the evaluator
@@ -770,10 +770,7 @@ mod tests {
             }
         }
 
-        let spy = Arc::new(Spy(
-            Backend::AnalyticBatched.instantiate(),
-            Mutex::new(Vec::new()),
-        ));
+        let spy = Arc::new(Spy(Backend::Analytic.instantiate(), Mutex::new(Vec::new())));
         let space = space().axis(Axis::schedule(vec![Schedule::FirstLastFp16]));
         let folded = SweepEngine::new()
             .threads(1)

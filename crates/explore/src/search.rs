@@ -914,7 +914,7 @@ mod tests {
             Scenario::small_tile()
                 .workload(Zoo::ResNet18)
                 .sample_steps(16)
-                .backend(Backend::AnalyticBatched),
+                .backend(Backend::Analytic),
         )
         .axis(Axis::w(grid_u32(8, 38, 2)))
         .axis(Axis::cluster(vec![1, 2, 4, 8]))
@@ -1003,7 +1003,7 @@ mod tests {
         cfg.initial = 16;
         cfg.max_evals = 64;
         let out = SearchEngine::new(cfg)
-            .confirm_backend(Backend::AnalyticBatched.escalated().instantiate())
+            .confirm_backend(Backend::Analytic.escalated().instantiate())
             .run(&space, &NullSweepSink);
         assert_eq!(out.confirmations.len(), out.frontier.len());
         for (c, p) in out.confirmations.iter().zip(&out.frontier) {

@@ -365,8 +365,8 @@ proptest! {
     /// `run_ids` — evaluate every point bit-identically to the per-point
     /// oracle over arbitrary axes (schedules and schedule masks
     /// included), id ranges and lists, chunk boundaries, thread counts,
-    /// and backends: batched, scalar analytic, memoized, and the
-    /// seed-sensitive Monte-Carlo backend.
+    /// and backends: analytic, memoized analytic, and the seed-sensitive
+    /// Monte-Carlo backend.
     #[test]
     fn slab_sweep_is_bit_identical_to_scalar_reference(
         w_mask in 1usize..8,
@@ -378,7 +378,7 @@ proptest! {
         schedule_mask in 1usize..32,
         custom_bits in any::<u16>(),
         deep in any::<bool>(),
-        backend_sel in 0usize..4,
+        backend_sel in 0usize..3,
         range in (any::<u64>(), any::<u64>()),
         picks in prop::collection::vec(any::<u64>(), 0..30),
         chunk in 1usize..=7,
@@ -391,7 +391,6 @@ proptest! {
         use mpipu_sim::{LayerPrecision, Schedule};
 
         let backend = [
-            Backend::AnalyticBatched,
             Backend::Analytic,
             Backend::MemoizedAnalytic,
             Backend::MonteCarlo,
@@ -486,7 +485,7 @@ fn masked<T: Copy>(all: &[T], mask: usize) -> Vec<T> {
         .collect()
 }
 
-/// A small analytic-batched space shaped by two axis masks (guaranteed
+/// A small analytic space shaped by two axis masks (guaranteed
 /// non-empty; 1–20 points).
 fn small_space(w_mask: usize, cluster_mask: usize) -> ParamSpace {
     use mpipu::{Backend, Scenario, Zoo};
@@ -495,7 +494,7 @@ fn small_space(w_mask: usize, cluster_mask: usize) -> ParamSpace {
         Scenario::small_tile()
             .workload(Zoo::ResNet18)
             .sample_steps(8)
-            .backend(Backend::AnalyticBatched),
+            .backend(Backend::Analytic),
     )
     .axis(Axis::w(masked(&[8u32, 12, 16, 25, 38], w_mask)))
     .axis(Axis::cluster(masked(&[1usize, 2, 4, 8], cluster_mask)))

@@ -151,98 +151,6 @@ impl Nibbles {
     }
 }
 
-/// Generic signed-magnitude decomposition for arbitrary formats
-/// (paper §5 / Appendix B: BF16 and TF32 support).
-///
-/// A `mag_bits`-wide signed magnitude is sliced from the top: a 5-bit
-/// signed slice, then 4-bit unsigned slices. When the final slice has at
-/// most 3 payload bits it is pre-shifted left by one (the FP16 `N0`
-/// trick); otherwise it is zero-extended. Slice weights step by 4, which
-/// is what lets the accumulator reuse its uniform `4·Δ` shift grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GenericNibbles {
-    /// Nibble values, least significant first (each fits 5-bit signed).
-    pub n: Vec<i8>,
-    /// Positional weight (log2) of each nibble; `weights[i+1] − weights[i]
-    /// = 4`.
-    pub weights: Vec<i32>,
-}
-
-impl GenericNibbles {
-    /// Decompose a `mag_bits`-wide signed magnitude.
-    ///
-    /// # Panics
-    /// Panics if `m` does not fit `mag_bits` bits two's complement, or if
-    /// `mag_bits` is not in `6..=13`.
-    pub fn from_magnitude(m: i32, mag_bits: u32) -> Self {
-        assert!(
-            (6..=13).contains(&mag_bits),
-            "magnitude width {mag_bits} unsupported"
-        );
-        let lo = -(1i32 << (mag_bits - 1));
-        let hi = (1i32 << (mag_bits - 1)) - 1;
-        assert!((lo..=hi).contains(&m), "{m} does not fit {mag_bits} bits");
-        // Top slice keeps 5 signed bits; the remainder splits on a 4-bit
-        // grid anchored at the top, so the lowest slice holds
-        // `low_bits mod 4` bits (or 4 when it divides evenly).
-        let low_bits = mag_bits - 5;
-        let k = (low_bits as usize).div_ceil(4) + 1;
-        let mut n = Vec::with_capacity(k);
-        let mut weights = Vec::with_capacity(k);
-        let mut consumed = 0u32;
-        while consumed < low_bits {
-            let this = match low_bits % 4 {
-                r if consumed == 0 && r != 0 => r,
-                _ => 4,
-            };
-            let val = ((m >> consumed) & ((1 << this) - 1)) as i8;
-            if this <= 3 {
-                // Pre-shift to preserve one extra bit through truncation.
-                n.push(val << 1);
-                weights.push(consumed as i32 - 1);
-            } else {
-                n.push(val);
-                weights.push(consumed as i32);
-            }
-            consumed += this;
-        }
-        n.push((m >> consumed) as i8); // signed top slice
-        weights.push(consumed as i32);
-        GenericNibbles { n, weights }
-    }
-
-    /// Number of nibbles (iterations per operand).
-    pub fn len(&self) -> usize {
-        self.n.len()
-    }
-
-    /// `true` if empty (never produced by the constructor).
-    pub fn is_empty(&self) -> bool {
-        self.n.is_empty()
-    }
-
-    /// Weight of the most significant slice.
-    pub fn top_weight(&self) -> i32 {
-        *self.weights.last().unwrap()
-    }
-
-    /// Reconstruct the signed magnitude (inverse of the decomposition).
-    pub fn reconstruct(&self) -> i64 {
-        self.n
-            .iter()
-            .zip(&self.weights)
-            .map(|(&nib, &w)| {
-                if w >= 0 {
-                    (nib as i64) << w
-                } else {
-                    debug_assert_eq!(nib & 1, 0);
-                    (nib as i64) >> (-w)
-                }
-            })
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,80 +237,5 @@ mod tests {
         assert_eq!(Nibbles::from_int(-8, 1, true).reconstruct(), -8);
         assert_eq!(Nibbles::from_int(7, 1, true).reconstruct(), 7);
         assert_eq!(Nibbles::from_int(15, 1, false).reconstruct(), 15);
-    }
-}
-
-#[cfg(test)]
-mod generic_tests {
-    use super::*;
-    use crate::{Bf16, Fp16, FpFormat, SignedMagnitude, Tf32};
-
-    #[test]
-    fn fp16_generic_matches_dedicated_decomposition() {
-        for m in -2047i32..=2047 {
-            let g = GenericNibbles::from_magnitude(m, 12);
-            let d = Nibbles::from_fp16_magnitude(SignedMagnitude { m, exp: 0 });
-            assert_eq!(g.n, d.n, "m = {m}");
-            assert_eq!(g.weights, vec![-1, 3, 7]);
-            assert_eq!(g.reconstruct(), m as i64);
-        }
-    }
-
-    #[test]
-    fn bf16_magnitudes_use_two_nibbles() {
-        // BF16 magnitude: 1.man7 + sign = 9 bits ⇒ 2 nibbles ⇒ the four
-        // nibble iterations the paper quotes for BF16 (Appendix B).
-        for bits in 0u16..=u16::MAX {
-            let x = Bf16(bits);
-            if x.is_non_finite() {
-                continue;
-            }
-            let mag = x.magnitude() as i32;
-            let m = if x.sign() { -mag } else { mag };
-            let g = GenericNibbles::from_magnitude(m, 9);
-            assert_eq!(g.len(), 2, "bits {bits:#06x}");
-            assert_eq!(g.reconstruct(), m as i64);
-            assert!(g.n.iter().all(|&v| (-16..=15).contains(&(v as i32))));
-        }
-    }
-
-    #[test]
-    fn tf32_magnitudes_use_three_nibbles() {
-        for bits in (0u32..(1 << 19)).step_by(13) {
-            let x = Tf32(bits);
-            if x.is_non_finite() {
-                continue;
-            }
-            let mag = x.magnitude() as i32;
-            let m = if x.sign() { -mag } else { mag };
-            let g = GenericNibbles::from_magnitude(m, 12);
-            assert_eq!(g.len(), 3);
-            assert_eq!(g.reconstruct(), m as i64);
-        }
-    }
-
-    #[test]
-    fn top_weight_positions() {
-        assert_eq!(GenericNibbles::from_magnitude(100, 12).top_weight(), 7);
-        assert_eq!(GenericNibbles::from_magnitude(100, 9).top_weight(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn magnitude_range_checked() {
-        GenericNibbles::from_magnitude(256, 9);
-    }
-
-    #[test]
-    fn fp16_all_finite_roundtrip() {
-        for bits in (0u16..=u16::MAX).step_by(3) {
-            let x = Fp16(bits);
-            if x.is_non_finite() {
-                continue;
-            }
-            let sm = SignedMagnitude::from_fp16(x).unwrap();
-            let g = GenericNibbles::from_magnitude(sm.m, 12);
-            assert_eq!(g.reconstruct(), sm.m as i64);
-        }
     }
 }

@@ -371,7 +371,8 @@ pub fn memo_entries(records: &[UnitRecord]) -> Vec<(CacheKey, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpipu_sim::{Analytic, CostBackend, CostQuery, TileConfig};
+    use mpipu_sim::{AnalyticBatched, CostBackend, CostQuery, Memoized, TileConfig};
+    use std::sync::Arc;
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -382,15 +383,18 @@ mod tests {
         }
     }
 
-    fn record(unit: u64) -> UnitRecord {
-        let q = CostQuery {
+    fn query() -> CostQuery {
+        CostQuery {
             tile: TileConfig::small(),
             w: 12,
             software_precision: 28,
             dists: mpipu_sim::cost::pass_distributions(mpipu_dnn::zoo::Pass::Forward),
             window: 64,
             seed: 7,
-        };
+        }
+    }
+
+    fn record(unit: u64) -> UnitRecord {
         UnitRecord {
             unit,
             lo: unit * 4,
@@ -405,7 +409,7 @@ mod tests {
             }]),
             hits: 3,
             misses: 1,
-            memo: vec![(Analytic.cache_key(&q), 123.456789)],
+            memo: vec![(AnalyticBatched::new().cache_key(&query()), 123.456789)],
         }
     }
 
@@ -498,6 +502,27 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].hits, 3);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_rows_keyed_by_the_pre_merge_batched_name_still_warm_start() {
+        // A journal written before the analytic backends merged keys its
+        // memo rows "analytic-batched"; the values are bit-identical to
+        // today's "analytic" backend, so they must preload and hit.
+        let line = unit_json(&record(0)).to_string_compact();
+        assert!(line.contains(r#"["analytic","#), "{line}");
+        let old = line.replace(r#"["analytic","#, r#"["analytic-batched","#);
+        let parsed = unit_record_from_json(&Json::parse(&old).unwrap()).unwrap();
+        assert_eq!(parsed, record(0), "read as the analytic backend's key");
+
+        let memo = Memoized::new(Arc::new(AnalyticBatched::new()));
+        assert_eq!(memo.preload(memo_entries(&[parsed])), 1);
+        assert_eq!(
+            memo.window_cycles(&query()),
+            123.456789,
+            "served from the journal"
+        );
+        assert_eq!((memo.hits(), memo.misses()), (1, 0));
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //!   each draw class of a slab once and prices every query of the class
 //!   from that one sample ([`crate::cost`]); `window_cycles` is a
 //!   one-query batch.
-//! * [`Analytic`] — no RNG at all: the *exact* per-IPU partition-count
-//!   distribution is computed in closed form from the two operands' FP16
-//!   exponent PMFs ([`Distribution::exponent_buckets`] — the same exact
-//!   rounding-bucket integrals the Monte-Carlo alias tables are built
-//!   from), the per-cluster lock-step cost is the order-statistics max
-//!   over that distribution, and the window cost is
-//!   `steps × E[cluster max]`. A fig8-style sweep becomes a handful of
+//! * [`crate::slab::AnalyticBatched`] — no RNG at all: the *exact*
+//!   per-IPU partition-count distribution is computed in closed form
+//!   from the two operands' FP16 exponent PMFs
+//!   ([`Distribution::exponent_buckets`] — the same exact rounding-bucket
+//!   integrals the Monte-Carlo alias tables are built from), the
+//!   per-cluster lock-step cost is the order-statistics max over that
+//!   distribution, and the window cost is `steps × E[cluster max]`
+//!   ([`StepCost`] is that closed form for one design point). The
+//!   backend hoists the PMFs and the partition-count DP once per
+//!   equivalence class of queries, so a fig8-style sweep is a handful of
 //!   table convolutions instead of millions of RNG draws. See
 //!   `DESIGN.md` ("The analytic cost backend") for the derivation and
 //!   the precise exact-vs-approximate accounting.
@@ -25,22 +28,14 @@
 //!   [`CostBackend::cache_key`], so sweeps and the experiment suite stop
 //!   recomputing identical design points. Memoization is transparent:
 //!   results are bit-identical to the inner backend's.
-//! * [`crate::slab::AnalyticBatched`] — the analytic math restructured
-//!   for whole-slab evaluation through
-//!   [`CostBackend::estimate_batch`]: the operand PMFs, product-exponent
-//!   convolution, and sequential-binomial DP are hoisted once per
-//!   equivalence class of queries instead of recomputed per point, and
-//!   per-cluster means are filled through a structure-of-arrays kernel.
-//!   Bit-identical to [`Analytic`] on every query.
 //!
 //! The seam is threaded through every consumer: `run.rs`/`mixed.rs`
 //! estimate FP16 layers through `&dyn CostBackend`, [`crate::Lowered`]
 //! carries an `Arc<dyn CostBackend>`, the `mpipu::Scenario` builder
 //! selects one with `.backend(Backend::Analytic)`, and the suite CLI
-//! exposes `--backend {mc,analytic,analytic-batched,memoized,memoized-analytic}`.
+//! exposes `--backend {mc,analytic,memoized,memoized-analytic}`.
 
 use crate::cost::safe_precision;
-use crate::engine::constant_stream_cycles;
 use crate::tile::TileConfig;
 use mpipu_analysis::dist::Distribution;
 use std::collections::HashMap;
@@ -54,7 +49,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// The caller (`run::sampled_fp16_layer`) has already resolved the
 /// workload pass into a concrete `(activation, weight)` distribution
 /// pair and derived the per-layer RNG seed; backends that do not sample
-/// ([`Analytic`]) simply ignore `seed`.
+/// ([`crate::slab::AnalyticBatched`]) simply ignore `seed`.
 #[derive(Debug, Clone, Copy)]
 pub struct CostQuery {
     /// Tile geometry and clustering.
@@ -83,16 +78,16 @@ pub trait CostBackend: fmt::Debug + Send + Sync {
 
     /// Estimated cycles to retire `q.window` broadcast steps.
     ///
-    /// [`MonteCarlo`] returns an exact integer (as `f64`); [`Analytic`]
-    /// returns the expectation, which is generally fractional. Callers
-    /// scale by `true_steps / window` and round once at the end.
+    /// [`MonteCarlo`] returns an exact integer (as `f64`); the analytic
+    /// backend returns the expectation, which is generally fractional.
+    /// Callers scale by `true_steps / window` and round once at the end.
     fn window_cycles(&self, q: &CostQuery) -> f64;
 
     /// The key under which [`Memoized`] may share this backend's answer.
     ///
     /// The default is the full query including the seed — always safe.
-    /// Seed-blind backends override it to widen sharing (e.g.
-    /// [`Analytic`] drops the seed, so every layer of a workload hits
+    /// Seed-blind backends override it to widen sharing (e.g. the
+    /// analytic backend drops the seed, so every layer of a workload hits
     /// the same entry).
     fn cache_key(&self, q: &CostQuery) -> CacheKey {
         CacheKey::new(self.name(), q, true)
@@ -275,9 +270,16 @@ impl CacheKey {
 pub const CACHE_KEY_WORDS: usize = 16;
 
 /// Map a backend name back to its `&'static str` — only names a backend
-/// in this crate actually reports are accepted.
+/// in this crate actually reports are accepted. Journals written before
+/// the analytic backends merged name the batched one `analytic-batched`;
+/// its values are bit-identical, so they read as `analytic`.
 fn intern_backend_name(name: &str) -> Option<&'static str> {
-    ["mc", "analytic", "analytic-batched", "memoized"]
+    let name = if name == "analytic-batched" {
+        "analytic"
+    } else {
+        name
+    };
+    ["mc", "analytic", "memoized"]
         .into_iter()
         .find(|n| *n == name)
 }
@@ -304,36 +306,32 @@ pub enum Backend {
     /// Monte-Carlo sampling (the default; bit-identical to the
     /// pre-seam simulator).
     MonteCarlo,
-    /// Closed-form expected step costs (no RNG).
+    /// Closed-form expected step costs (no RNG), priced by
+    /// [`crate::slab::AnalyticBatched`].
     Analytic,
     /// Memoized Monte-Carlo: bit-identical to [`Backend::MonteCarlo`],
     /// with repeated design points served from the cache.
     Memoized,
     /// Memoized analytic: the fast path for large sweeps.
     MemoizedAnalytic,
-    /// Batched analytic ([`crate::slab::AnalyticBatched`]): bit-identical
-    /// to [`Backend::Analytic`], with the heavy per-class math hoisted
-    /// and shared across whole query slabs.
-    AnalyticBatched,
 }
 
 impl Backend {
     /// Every accepted `--backend` name, in presentation order.
-    pub const NAMES: [&'static str; 5] = [
-        "mc",
-        "analytic",
-        "analytic-batched",
-        "memoized",
-        "memoized-analytic",
-    ];
+    pub const NAMES: [&'static str; 4] = ["mc", "analytic", "memoized", "memoized-analytic"];
 
-    /// Parse a CLI name (`mc`, `analytic`, `analytic-batched`,
-    /// `memoized`, `memoized-analytic`).
+    /// The former name of [`Backend::Analytic`], kept only because the
+    /// frozen benchmark (`perfbench/`) names it; it goes with the next
+    /// benchmark change.
+    #[allow(non_upper_case_globals)]
+    pub const AnalyticBatched: Backend = Backend::Analytic;
+
+    /// Parse a CLI name (`mc`, `analytic`, `memoized`,
+    /// `memoized-analytic`).
     pub fn parse(name: &str) -> Option<Backend> {
         match name {
             "mc" => Some(Backend::MonteCarlo),
             "analytic" => Some(Backend::Analytic),
-            "analytic-batched" => Some(Backend::AnalyticBatched),
             "memoized" => Some(Backend::Memoized),
             "memoized-analytic" => Some(Backend::MemoizedAnalytic),
             _ => None,
@@ -345,7 +343,6 @@ impl Backend {
         match self {
             Backend::MonteCarlo => "mc",
             Backend::Analytic => "analytic",
-            Backend::AnalyticBatched => "analytic-batched",
             Backend::Memoized => "memoized",
             Backend::MemoizedAnalytic => "memoized-analytic",
         }
@@ -356,12 +353,12 @@ impl Backend {
     /// backends pool their cache across layers, sweep points, and
     /// parallel experiments.
     pub fn instantiate(self) -> Arc<dyn CostBackend> {
+        use crate::slab::AnalyticBatched;
         match self {
             Backend::MonteCarlo => Arc::new(MonteCarlo),
-            Backend::Analytic => Arc::new(Analytic),
-            Backend::AnalyticBatched => Arc::new(crate::slab::AnalyticBatched::new()),
+            Backend::Analytic => Arc::new(AnalyticBatched::new()),
             Backend::Memoized => Arc::new(Memoized::new(Arc::new(MonteCarlo))),
-            Backend::MemoizedAnalytic => Arc::new(Memoized::new(Arc::new(Analytic))),
+            Backend::MemoizedAnalytic => Arc::new(Memoized::new(Arc::new(AnalyticBatched::new()))),
         }
     }
 
@@ -371,7 +368,7 @@ impl Backend {
     /// variants — already highest fidelity — map to themselves.
     pub fn escalated(self) -> Backend {
         match self {
-            Backend::Analytic | Backend::AnalyticBatched => Backend::MonteCarlo,
+            Backend::Analytic => Backend::MonteCarlo,
             Backend::MemoizedAnalytic => Backend::Memoized,
             Backend::MonteCarlo => Backend::MonteCarlo,
             Backend::Memoized => Backend::Memoized,
@@ -414,7 +411,10 @@ const PROD_EXP_MAX: i32 = 30;
 /// Number of representable product-exponent values.
 pub(crate) const PROD_EXPS: usize = (PROD_EXP_MAX - PROD_EXP_MIN + 1) as usize;
 
-/// The closed-form backend: expected step costs from exponent PMFs.
+/// The exact per-IPU step-cost distribution of one design point, plus
+/// its per-cluster order-statistics summary — the analytic backend's
+/// closed form for a single query, public so tests and notebooks can
+/// interrogate it.
 ///
 /// Exactness contract (derivation in `DESIGN.md`):
 ///
@@ -428,29 +428,6 @@ pub(crate) const PROD_EXPS: usize = (PROD_EXP_MAX - PROD_EXP_MIN + 1) as usize;
 /// * cluster streams are treated as decoupled (`steps × E[max]`), which
 ///   is exact for a single cluster and ignores cross-cluster FIFO
 ///   coupling otherwise.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Analytic;
-
-impl CostBackend for Analytic {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn window_cycles(&self, q: &CostQuery) -> f64 {
-        let step = StepCost::new(&q.tile, q.w, q.software_precision, q.dists);
-        constant_stream_cycles(q.window as u64, step.cluster_mean())
-    }
-
-    /// Seed-blind: every layer and every seed of a design point shares
-    /// one cache entry.
-    fn cache_key(&self, q: &CostQuery) -> CacheKey {
-        CacheKey::new(self.name(), q, false)
-    }
-}
-
-/// The exact per-IPU step-cost distribution of one design point, plus
-/// its per-cluster order-statistics summary — the [`Analytic`] backend's
-/// working object, public so tests and notebooks can interrogate it.
 #[derive(Debug, Clone)]
 pub struct StepCost {
     /// `partitions_pmf[j]` = probability that one IPU's step occupies
@@ -478,16 +455,6 @@ impl StepCost {
             partitions_pmf,
             cluster_size: tile.cluster_size,
         }
-    }
-
-    /// Expected cycles of one IPU's step: `9 · E[partition count]`.
-    pub fn ipu_mean(&self) -> f64 {
-        9.0 * self
-            .partitions_pmf
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| (j + 1) as f64 * p)
-            .sum::<f64>()
     }
 
     /// Expected cycles of one *cluster's* step: `9 · E[max over
@@ -1004,7 +971,15 @@ impl CostBackend for Memoized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::AnalyticBatched;
     use mpipu_dnn::zoo::Pass;
+
+    /// The closed form of one query, one design point at a time — the
+    /// oracle the analytic backend's class-hoisted answers must equal.
+    fn closed_form(q: &CostQuery) -> f64 {
+        let step = StepCost::new(&q.tile, q.w, q.software_precision, q.dists);
+        crate::engine::constant_stream_cycles(q.window as u64, step.cluster_mean())
+    }
 
     fn query(tile: TileConfig, w: u32, pass: Pass, seed: u64) -> CostQuery {
         CostQuery {
@@ -1240,8 +1215,10 @@ mod tests {
     fn analytic_window_scales_linearly() {
         let q64 = query(TileConfig::small(), 12, Pass::Backward, 0);
         let q512 = CostQuery { window: 512, ..q64 };
-        let a = Analytic.window_cycles(&q64);
-        let b = Analytic.window_cycles(&q512);
+        let analytic = AnalyticBatched::new();
+        let a = analytic.window_cycles(&q64);
+        let b = analytic.window_cycles(&q512);
+        assert_eq!(a.to_bits(), closed_form(&q64).to_bits());
         assert!((b / a - 8.0).abs() < 1e-9, "{a} vs {b}");
     }
 
@@ -1268,7 +1245,7 @@ mod tests {
 
     #[test]
     fn memoized_analytic_shares_across_seeds_and_nesting_is_idempotent() {
-        let inner = Arc::new(Memoized::new(Arc::new(Analytic)));
+        let inner = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
         let memo = Memoized::new(inner.clone());
         let q = query(TileConfig::small(), 12, Pass::Forward, 1);
         let a = memo.window_cycles(&q);
@@ -1284,9 +1261,16 @@ mod tests {
     #[test]
     fn cache_stats_expose_memoization_and_stay_none_elsewhere() {
         assert_eq!(MonteCarlo.cache_stats(), None);
-        assert_eq!(Analytic.cache_stats(), None);
-        let memo = Memoized::new(Arc::new(Analytic));
+        // The analytic backend reports its own class-cache counters: one
+        // DP class computed, then served.
+        let analytic = AnalyticBatched::new();
         let q = query(TileConfig::small(), 12, Pass::Forward, 1);
+        analytic.window_cycles(&q);
+        analytic.window_cycles(&q);
+        let stats = analytic.cache_stats().expect("class-cache counters");
+        assert_eq!(stats.inner, "analytic");
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        let memo = Memoized::new(Arc::new(AnalyticBatched::new()));
         memo.window_cycles(&q);
         memo.window_cycles(&q);
         let stats = memo.cache_stats().expect("memoized backends report stats");
@@ -1296,7 +1280,7 @@ mod tests {
 
     #[test]
     fn cache_stats_delta_isolates_one_requests_traffic() {
-        let memo = Memoized::new(Arc::new(Analytic));
+        let memo = Memoized::new(Arc::new(AnalyticBatched::new()));
         // Request A: two distinct points, one repeated.
         let qa = query(TileConfig::small(), 12, Pass::Forward, 1);
         let qb = query(TileConfig::small(), 16, Pass::Forward, 1);
@@ -1324,7 +1308,7 @@ mod tests {
 
     #[test]
     fn memoized_estimate_batch_serves_hits_and_dedupes_within_the_slab() {
-        let memo = Memoized::new(Arc::new(Analytic));
+        let memo = Memoized::new(Arc::new(AnalyticBatched::new()));
         let qa = query(TileConfig::small(), 12, Pass::Forward, 1);
         let qb = query(TileConfig::small(), 16, Pass::Forward, 2);
         // Seed it with qa so the batch sees a pre-existing entry.
@@ -1337,7 +1321,7 @@ mod tests {
         assert_eq!(out[0].to_bits(), solo.to_bits());
         assert_eq!(out[3].to_bits(), solo.to_bits());
         assert_eq!(out[1].to_bits(), out[2].to_bits(), "seed-blind dup");
-        assert_eq!(out[1].to_bits(), Analytic.window_cycles(&qb).to_bits());
+        assert_eq!(out[1].to_bits(), closed_form(&qb).to_bits());
         // 4 slab queries: 1 inner computation (qb), 3 hits (two cached
         // qa slots + the within-slab duplicate); hits + misses advances
         // by the slab length.
@@ -1350,6 +1334,10 @@ mod tests {
 
     #[test]
     fn backend_names_round_trip() {
+        assert_eq!(
+            Backend::NAMES,
+            ["mc", "analytic", "memoized", "memoized-analytic"]
+        );
         for name in Backend::NAMES {
             let b = Backend::parse(name).expect(name);
             assert_eq!(b.name(), name);
@@ -1362,12 +1350,16 @@ mod tests {
             );
         }
         assert_eq!(Backend::parse("montecarlo"), None);
+        // The batched backend's former name is an alias const, not a name.
+        assert_eq!(Backend::parse("analytic-batched"), None);
+        assert_eq!(Backend::AnalyticBatched, Backend::Analytic);
+        let memo = Backend::MemoizedAnalytic.instantiate();
+        assert_eq!(memo.cache_stats().map(|s| s.inner), Some("analytic"));
     }
 
     #[test]
     fn escalation_maps_analytic_variants_to_seeded_counterparts() {
         assert_eq!(Backend::Analytic.escalated(), Backend::MonteCarlo);
-        assert_eq!(Backend::AnalyticBatched.escalated(), Backend::MonteCarlo);
         assert_eq!(Backend::MemoizedAnalytic.escalated(), Backend::Memoized);
         // Highest-fidelity backends are fixed points, so escalation is
         // idempotent across the whole enum.
@@ -1432,8 +1424,14 @@ mod tests {
             ),
             ..q
         };
-        assert_ne!(Analytic.cache_key(&narrow), Analytic.cache_key(&wide));
-        assert_ne!(MonteCarlo.cache_key(&q), Analytic.cache_key(&q));
+        assert_ne!(
+            AnalyticBatched::new().cache_key(&narrow),
+            AnalyticBatched::new().cache_key(&wide)
+        );
+        assert_ne!(
+            MonteCarlo.cache_key(&q),
+            AnalyticBatched::new().cache_key(&q)
+        );
     }
 
     #[test]
@@ -1447,20 +1445,30 @@ mod tests {
             ),
             ..query(TileConfig::big(), 17, Pass::Forward, 9)
         };
-        for key in [Analytic.cache_key(&q), MonteCarlo.cache_key(&q)] {
+        for key in [
+            AnalyticBatched::new().cache_key(&q),
+            MonteCarlo.cache_key(&q),
+        ] {
             let words = key.to_words();
             let back = CacheKey::from_words(key.backend_name(), &words).expect("round trip");
             assert_eq!(back, key);
         }
-        assert!(Analytic.cache_key(&q).seed_blind());
+        assert!(AnalyticBatched::new().cache_key(&q).seed_blind());
         assert!(!MonteCarlo.cache_key(&q).seed_blind());
         assert!(CacheKey::from_words("no-such-backend", &[0; CACHE_KEY_WORDS]).is_none());
+        // The batched backend's name before the analytic backends merged
+        // reads as today's: its values are bit-identical.
+        let key = AnalyticBatched::new().cache_key(&q);
+        assert_eq!(
+            CacheKey::from_words("analytic-batched", &key.to_words()),
+            Some(key)
+        );
         assert!(CacheKey::from_words("analytic", &[0; 3]).is_none());
     }
 
     #[test]
     fn memoized_export_preload_and_insert_log() {
-        let memo = Memoized::new(Arc::new(Analytic));
+        let memo = Memoized::new(Arc::new(AnalyticBatched::new()));
         memo.enable_insert_log();
         let a = query(TileConfig::small(), 12, Pass::Forward, 0);
         let b = query(TileConfig::small(), 16, Pass::Backward, 0);
@@ -1469,7 +1477,7 @@ mod tests {
         // The log holds exactly the two inserts; draining empties it.
         let logged = memo.drain_insert_log();
         assert_eq!(logged.len(), 2);
-        assert_eq!(logged[0].0, Analytic.cache_key(&a));
+        assert_eq!(logged[0].0, AnalyticBatched::new().cache_key(&a));
         assert_eq!(logged[0].1, va);
         assert!(memo.drain_insert_log().is_empty());
         // A hit logs nothing.
@@ -1480,7 +1488,7 @@ mod tests {
         let exported = memo.export_entries();
         assert_eq!(exported, memo.export_entries());
         assert_eq!(exported.len(), 2);
-        let fresh = Memoized::new(Arc::new(Analytic));
+        let fresh = Memoized::new(Arc::new(AnalyticBatched::new()));
         assert_eq!(fresh.preload(exported.clone()), 2);
         assert_eq!(fresh.preload(exported), 0, "idempotent");
         assert_eq!(fresh.window_cycles(&a), va);
@@ -1490,7 +1498,7 @@ mod tests {
 
     #[test]
     fn memoized_batch_inserts_are_logged_once_per_distinct_key() {
-        let memo = Memoized::new(Arc::new(Analytic));
+        let memo = Memoized::new(Arc::new(AnalyticBatched::new()));
         memo.enable_insert_log();
         let a = query(TileConfig::small(), 12, Pass::Forward, 0);
         let b = query(TileConfig::small(), 14, Pass::Forward, 0);

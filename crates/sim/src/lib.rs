@@ -26,10 +26,11 @@
 //! workload's value distributions (the paper samples real tensors; see
 //! `DESIGN.md` for the substitution) and prices them with the *same* EHU
 //! rule as the bit-accurate datapath, drawing once per draw class of a
-//! query slab ([`cost`]); [`backend::Analytic`] computes the expected
-//! step cost in closed form from the exponent PMFs; and
-//! [`backend::Memoized`] caches either across sweeps. The simulator
-//! assumes an ideal memory hierarchy, as the paper does.
+//! query slab ([`cost`]); [`slab::AnalyticBatched`] computes the
+//! expected step cost in closed form from the exponent PMFs, once per
+//! equivalence class of a slab; and [`backend::Memoized`] caches either
+//! across sweeps. The simulator assumes an ideal memory hierarchy, as
+//! the paper does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,13 +45,13 @@ pub mod slab;
 pub mod tile;
 
 pub use backend::{
-    Analytic, Backend, CacheKey, CacheStats, CostBackend, CostQuery, Memoized, MonteCarlo,
-    StepCost, CACHE_KEY_WORDS,
+    Backend, CacheKey, CacheStats, CostBackend, CostQuery, Memoized, MonteCarlo, StepCost,
+    CACHE_KEY_WORDS,
 };
 pub use cost::BASELINE_CYCLES_PER_STEP;
 pub use engine::{constant_stream_cycles, simulate_clusters};
 pub use mixed::{first_last_fp16, run_mixed, LayerPrecision, MixedResult, Schedule, ScheduleError};
 pub use result::{LayerResult, WorkloadResult};
 pub use run::{layer_steps, run_workload, Lowered, SimDesign, SimOptions};
-pub use slab::{AnalyticBatched, WAxisCarry};
+pub use slab::AnalyticBatched;
 pub use tile::TileConfig;

@@ -1,13 +1,13 @@
-//! Batched analytic cost evaluation — the structure-of-arrays backend.
+//! The analytic cost backend, batched — [`AnalyticBatched`].
 //!
-//! [`AnalyticBatched`] answers the same question as
-//! [`crate::Analytic`] (expected cycles to retire a window of broadcast
-//! steps) with the same arithmetic, but restructured around
+//! It answers the cost question (expected cycles to retire a window of
+//! broadcast steps) in closed form — the arithmetic of
+//! [`crate::backend::StepCost`] — but structured around
 //! [`crate::CostBackend::estimate_batch`] so that a whole slab of
 //! queries — e.g. one axis-contiguous chunk of a design-space sweep —
 //! shares the expensive math instead of recomputing it per point:
 //!
-//! * Queries collapse into **DP equivalence classes** ([`DpClass`]): the
+//! * Queries collapse into **DP equivalence classes** (`DpClass`): the
 //!   sequential-binomial partition-count DP depends only on the IPU lane
 //!   count, the safe precision `sp(w, swp)`, the software precision, and
 //!   the operand-distribution pair. Everything else (cluster size,
@@ -15,11 +15,9 @@
 //!   DP. The operand PMFs and the product-exponent convolution are
 //!   hoisted one level further: once per distribution pair.
 //! * Along a `w` axis the class is piecewise constant — the DP depends
-//!   on `w` only through `sp(w, swp)` — so walking `w → w+1` carries the
-//!   previous DP forward and recomputes only at `sp` boundaries. That
-//!   carry is [`WAxisCarry`] in single-slot form; the backend's class
-//!   cache is the same invariant hoisted into a map (any revisit of an
-//!   `sp` plateau hits the cached DP).
+//!   on `w` only through `sp(w, swp)` — so the class cache reuses one DP
+//!   across each `sp` plateau (every `w ≤ 10`, for instance, maps to
+//!   `sp = 1`).
 //! * Per-cluster expected step costs for all cluster sizes a slab needs
 //!   are filled in one pass over the partition PMF by
 //!   `cluster_means_multi` — lanes laid out structure-of-arrays so the
@@ -27,11 +25,11 @@
 //!   op sequence of [`crate::backend::StepCost::cluster_mean`], keeping results
 //!   bit-identical per lane.
 //!
-//! Bit-identity with the scalar [`crate::Analytic`] backend is a hard
-//! contract (property-tested in `tests/proptests.rs` and enforced by a
-//! CI diff of full frontier sweeps): hoisting means calling the same
-//! functions *fewer times* with identical inputs, never reassociating
-//! the floating-point arithmetic inside them.
+//! Bit-identity with the one-query closed form
+//! (`constant_stream_cycles(window, StepCost::new(..).cluster_mean())`)
+//! is a hard contract, property-tested in `tests/proptests.rs`: hoisting
+//! means calling the same functions *fewer times* with identical inputs,
+//! never reassociating the floating-point arithmetic inside them.
 
 use crate::backend::{
     dist_key, ipu_partition_pmf, product_exponent_pmf, CacheKey, CacheStats, CostBackend,
@@ -48,21 +46,21 @@ use std::sync::{Arc, RwLock};
 /// equal `DpClass` share one DP run (and, per cluster size, one expected
 /// step cost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DpClass {
+struct DpClass {
     /// IPU lane count (`tile.c_unroll`).
-    pub lanes: usize,
+    lanes: usize,
     /// Effective safe precision `sp(w, software_precision)` — the only
     /// channel through which `w` reaches the DP.
-    pub sp: u32,
+    sp: u32,
     /// Software (accumulation) precision.
-    pub software_precision: u32,
+    software_precision: u32,
     act: (u8, u64),
     wgt: (u8, u64),
 }
 
 impl DpClass {
     /// The equivalence class of a query.
-    pub fn of(q: &CostQuery) -> DpClass {
+    fn of(q: &CostQuery) -> DpClass {
         DpClass {
             lanes: q.tile.c_unroll,
             sp: safe_precision(q.w, q.software_precision),
@@ -101,62 +99,6 @@ fn cluster_means_multi(pmf: &[f64], cluster_sizes: &[usize]) -> Vec<f64> {
     acc
 }
 
-/// Carries the sequential-binomial DP along an ascending `w` axis.
-///
-/// The partition-count DP depends on `w` only through the safe precision
-/// `sp(w, swp)`, which is a step function of `w` (constant plateaus,
-/// e.g. every `w ≤ 10` maps to `sp = 1` and every `w ≥ swp` to the
-/// single-partition point mass). Stepping `w → w+1` therefore reuses the
-/// carried DP verbatim while `sp` is unchanged and recomputes only at
-/// plateau boundaries — the incremental-DP invariant the batched
-/// backend's class cache generalizes. Property-tested against the
-/// freshly recomputed DP in `tests/proptests.rs`.
-#[derive(Debug, Default)]
-pub struct WAxisCarry {
-    class: Option<DpClass>,
-    pmf: Vec<f64>,
-    recomputes: u64,
-}
-
-impl WAxisCarry {
-    /// An empty carry (the first query always computes).
-    pub fn new() -> WAxisCarry {
-        WAxisCarry::default()
-    }
-
-    /// The partition PMF for `(lanes, w, software_precision, dists)`,
-    /// recomputed only when the DP class changed since the last call.
-    pub fn pmf(
-        &mut self,
-        lanes: usize,
-        w: u32,
-        software_precision: u32,
-        dists: (Distribution, Distribution),
-    ) -> &[f64] {
-        let class = DpClass {
-            lanes,
-            sp: safe_precision(w, software_precision),
-            software_precision,
-            act: dist_key(dists.0),
-            wgt: dist_key(dists.1),
-        };
-        if self.class != Some(class) {
-            let (dead, live) = product_exponent_pmf(dists.0, dists.1);
-            self.pmf =
-                ipu_partition_pmf(class.lanes, class.sp, class.software_precision, dead, &live);
-            self.class = Some(class);
-            self.recomputes += 1;
-        }
-        &self.pmf
-    }
-
-    /// DP recomputations so far (carried steps don't count) — lets tests
-    /// assert the carry actually skips work on `sp` plateaus.
-    pub fn recomputes(&self) -> u64 {
-        self.recomputes
-    }
-}
-
 /// A distribution's cache identity (see `backend::dist_key`).
 type DistKey = (u8, u64);
 
@@ -164,7 +106,7 @@ type DistKey = (u8, u64);
 /// per-exponent probabilities)` — `product_exponent_pmf`'s output.
 type ProductPmf = (f64, [f64; PROD_EXPS]);
 
-/// The batched analytic backend (CLI name `analytic-batched`).
+/// The analytic backend (CLI name `analytic`; [`crate::Backend::Analytic`]).
 ///
 /// See the module docs for the hoisting structure. All caches are value
 /// caches of deterministic pure functions, shared across threads behind
@@ -275,7 +217,7 @@ impl std::fmt::Debug for AnalyticBatched {
 
 impl CostBackend for AnalyticBatched {
     fn name(&self) -> &'static str {
-        "analytic-batched"
+        "analytic"
     }
 
     fn window_cycles(&self, q: &CostQuery) -> f64 {
@@ -284,8 +226,9 @@ impl CostBackend for AnalyticBatched {
         out[0]
     }
 
-    /// Seed-blind, like [`crate::Analytic`]: the expectation does not
-    /// depend on the sampling seed.
+    /// Seed-blind: the expectation does not depend on the sampling seed,
+    /// so every layer and every seed of a design point shares one cache
+    /// entry.
     fn cache_key(&self, q: &CostQuery) -> CacheKey {
         CacheKey::new(self.name(), q, false)
     }
@@ -366,7 +309,7 @@ impl CostBackend for AnalyticBatched {
         );
 
         // Pass 3 — emit: the window only scales the expectation, exactly
-        // as the scalar backend's final step.
+        // as the one-query closed form's final step.
         for ((slot, q), &(id, cpos)) in out.iter_mut().zip(queries).zip(&tags) {
             *slot = constant_stream_cycles(q.window as u64, local[id as usize][cpos as usize]);
         }
@@ -376,7 +319,7 @@ impl CostBackend for AnalyticBatched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Analytic, StepCost};
+    use crate::backend::StepCost;
     use crate::cost::pass_distributions;
     use crate::tile::TileConfig;
     use mpipu_dnn::zoo::Pass;
@@ -404,14 +347,18 @@ mod tests {
                 }
             }
         }
+        // The oracle: the closed form of each query on its own.
+        let closed_form = |q: &CostQuery| {
+            let step = StepCost::new(&q.tile, q.w, q.software_precision, q.dists);
+            constant_stream_cycles(q.window as u64, step.cluster_mean())
+        };
         let batched = AnalyticBatched::new();
         let mut out = vec![0.0; queries.len()];
         batched.estimate_batch(&queries, &mut out);
         for (q, got) in queries.iter().zip(&out) {
-            let want = Analytic.window_cycles(q);
             assert_eq!(
                 got.to_bits(),
-                want.to_bits(),
+                closed_form(q).to_bits(),
                 "w={} swp={}",
                 q.w,
                 q.software_precision
@@ -419,10 +366,7 @@ mod tests {
         }
         // The scalar entry point routes through the same caches.
         for q in &queries {
-            assert_eq!(
-                batched.window_cycles(q).to_bits(),
-                Analytic.window_cycles(q).to_bits()
-            );
+            assert_eq!(batched.window_cycles(q).to_bits(), closed_form(q).to_bits());
         }
     }
 
@@ -450,33 +394,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn w_axis_carry_recomputes_only_at_sp_boundaries() {
-        let dists = pass_distributions(Pass::Backward);
-        let mut carry = WAxisCarry::new();
-        let mut boundaries = 0u64;
-        let mut last_sp = None;
-        for w in 8..=38 {
-            let sp = safe_precision(w, 28);
-            if last_sp != Some(sp) {
-                boundaries += 1;
-                last_sp = Some(sp);
-            }
-            let pmf = carry.pmf(8, w, 28, dists).to_vec();
-            let fresh = StepCost::new(&TileConfig::small(), w, 28, dists).partitions_pmf;
-            assert_eq!(pmf.len(), fresh.len());
-            for (a, b) in pmf.iter().zip(&fresh) {
-                assert_eq!(a.to_bits(), b.to_bits(), "w={w}");
-            }
-        }
-        assert_eq!(
-            carry.recomputes(),
-            boundaries,
-            "one DP per sp plateau, not per w"
-        );
-        assert!(boundaries < 31, "plateaus must actually merge w values");
     }
 
     #[test]

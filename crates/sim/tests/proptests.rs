@@ -370,13 +370,14 @@ fn slab_dists(sel: usize) -> (Distribution, Distribution) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// ISSUE 7 tentpole contract: `AnalyticBatched::estimate_batch` over
-    /// an arbitrary parameter sub-slab — a mixed-radix grid of
+    /// The analytic backend's contract: `AnalyticBatched::estimate_batch`
+    /// over an arbitrary parameter sub-slab — a mixed-radix grid of
     /// `(w, software precision, cluster size, window)` values in axis
     /// order, split at arbitrary chunk boundaries — is bit-identical to
-    /// mapping the scalar analytic backend over the same queries one by
-    /// one. This is the license for the sweep engine to hand whole
-    /// chunks to the batched backend.
+    /// the closed form of each query on its own,
+    /// `constant_stream_cycles(window, StepCost::new(..).cluster_mean())`.
+    /// This is the license for the sweep engine to hand whole chunks to
+    /// the backend.
     #[test]
     fn batched_analytic_matches_scalar_over_random_sub_slabs(
         ws in prop::collection::vec(8u32..=38, 1..4),
@@ -388,7 +389,7 @@ proptest! {
         chunk in 1usize..40,
         seed in any::<u64>(),
     ) {
-        use mpipu_sim::{Analytic, AnalyticBatched};
+        use mpipu_sim::{constant_stream_cycles, AnalyticBatched, StepCost};
 
         let base = if big { TileConfig::big() } else { TileConfig::small() };
         let dists = slab_dists(dist_sel);
@@ -416,47 +417,14 @@ proptest! {
             batched.estimate_batch(qs, os);
         }
         for (q, got) in queries.iter().zip(&out) {
-            let want = Analytic.window_cycles(q);
+            let step = StepCost::new(&q.tile, q.w, q.software_precision, q.dists);
+            let want = constant_stream_cycles(q.window as u64, step.cluster_mean());
             prop_assert_eq!(
                 got.to_bits(), want.to_bits(),
-                "w {} swp {} cluster {} window {}: batched {} vs scalar {}",
+                "w {} swp {} cluster {} window {}: batched {} vs closed form {}",
                 q.w, q.software_precision, q.tile.cluster_size, q.window, got, want
             );
         }
-    }
-
-    /// The incremental-DP `w`-axis carry equals the recomputed DP at
-    /// every step of an ascending `w` walk, and recomputes only when
-    /// the safe precision actually moves (the DP's only `w` channel).
-    #[test]
-    fn w_axis_carry_equals_recomputed_dp(
-        big in any::<bool>(),
-        fp32 in any::<bool>(),
-        dist_sel in 0usize..3,
-    ) {
-        use mpipu_sim::{cost, StepCost, WAxisCarry};
-
-        let tile = if big { TileConfig::big() } else { TileConfig::small() };
-        let swp: u32 = if fp32 { 28 } else { 16 };
-        let dists = slab_dists(dist_sel);
-        let mut carry = WAxisCarry::new();
-        let mut plateaus = 0u64;
-        let mut last_sp = None;
-        for w in 8..=38u32 {
-            let sp = cost::safe_precision(w, swp);
-            if last_sp != Some(sp) {
-                plateaus += 1;
-                last_sp = Some(sp);
-            }
-            let carried = carry.pmf(tile.c_unroll, w, swp, dists).to_vec();
-            let fresh = StepCost::new(&tile, w, swp, dists).partitions_pmf;
-            prop_assert_eq!(carried.len(), fresh.len());
-            for (a, b) in carried.iter().zip(&fresh) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "w {}", w);
-            }
-        }
-        prop_assert_eq!(carry.recomputes(), plateaus, "one DP per sp plateau");
-        prop_assert!(plateaus < 31, "plateaus must merge w values");
     }
 }
 

@@ -45,7 +45,7 @@ fn main() {
     println!("  alignments   = {:?}", plan.shifts);
     println!(
         "  partitions   = {:?} -> {} cycles/iteration",
-        plan.partitions(5),
+        plan.partitions_naive(5),
         plan.cycles(5)
     );
 

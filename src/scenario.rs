@@ -507,7 +507,9 @@ mod tests {
 
     #[test]
     fn cloned_scenarios_share_a_memoized_backend() {
-        let memo = Arc::new(mpipu_sim::Memoized::new(Arc::new(mpipu_sim::Analytic)));
+        let memo = Arc::new(mpipu_sim::Memoized::new(Arc::new(
+            mpipu_sim::AnalyticBatched::new(),
+        )));
         let base = quick(Scenario::small_tile().workload(Zoo::ResNet18))
             .cost_backend(memo.clone() as Arc<dyn CostBackend>);
         let a = base.clone().w(12).run().normalized();
