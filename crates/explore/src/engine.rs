@@ -176,6 +176,21 @@ impl<A: Fold, B: Fold> Fold for (A, B) {
     }
 }
 
+/// A fold that may be absent (an optional top-k selection, say).
+impl<F: Fold> Fold for Option<F> {
+    type Output = Option<F::Output>;
+
+    fn accept(&mut self, eval: &PointEval) {
+        if let Some(fold) = self {
+            fold.accept(eval);
+        }
+    }
+
+    fn finish(self) -> Self::Output {
+        self.map(F::finish)
+    }
+}
+
 /// Collects every evaluation (in fold order). For small sweeps only —
 /// this is exactly the grid materialization the engine otherwise avoids.
 #[derive(Debug, Default)]

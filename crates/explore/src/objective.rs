@@ -107,6 +107,22 @@ pub mod objectives {
         Objective::new("fp_tflops_per_w", Sense::Maximize, |e| {
             e.metrics.fp_tflops_per_w
         });
+
+    /// The whole catalog, in catalog order (the daemon's `list` order).
+    pub const ALL: [Objective; 7] = [
+        CYCLES,
+        FP_SLOWDOWN,
+        FP_FRACTION,
+        INT_TOPS_PER_MM2,
+        INT_TOPS_PER_W,
+        FP_TFLOPS_PER_MM2,
+        FP_TFLOPS_PER_W,
+    ];
+
+    /// The catalog objective with this [`Objective::name`].
+    pub fn by_name(name: &str) -> Option<Objective> {
+        ALL.into_iter().find(|o| o.name == name)
+    }
 }
 
 #[cfg(test)]
@@ -141,5 +157,13 @@ mod tests {
         assert_eq!(objectives::INT_TOPS_PER_MM2.value(&e), 30.0);
         assert_eq!(objectives::INT_TOPS_PER_MM2.keyed(&e), -30.0);
         assert_eq!(objectives::CYCLES.value(&e), 100.0);
+    }
+
+    #[test]
+    fn every_catalog_name_resolves_to_itself() {
+        for o in objectives::ALL {
+            assert_eq!(objectives::by_name(o.name).map(|b| b.name), Some(o.name));
+        }
+        assert!(objectives::by_name("speed").is_none());
     }
 }

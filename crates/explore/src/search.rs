@@ -706,8 +706,12 @@ impl SearchEngine {
             }
             cohort.sort_unstable();
 
-            // Price the whole cohort and fold in ascending id order.
+            // Price the whole cohort and fold in ascending id order. A
+            // rung that evaluates nothing was cancelled: end the rungs.
             let evals = self.engine.run_ids(space, &cohort, Collect::new(), sink);
+            if evals.is_empty() {
+                break;
+            }
             let mut rung_survivors: Vec<Survivor> = Vec::with_capacity(evals.len());
             for eval in &evals {
                 fold.accept_canonical(eval);
@@ -1030,6 +1034,18 @@ mod tests {
         // evaluate, so the loop ends long before rung 10.
         assert!(out.rungs.len() < 10, "ran {} rungs", out.rungs.len());
         assert_bit_identical(&out.frontier, &exact_frontier(&space));
+    }
+
+    #[test]
+    fn cancelled_search_ends_its_rungs_without_panicking() {
+        let cancel = crate::CancelToken::new();
+        cancel.cancel();
+        let engine = SweepEngine::new().cancel_token(cancel);
+        let out = SearchEngine::new(SearchConfig::new(objectives()))
+            .engine(engine)
+            .run(&space(), &NullSweepSink);
+        assert_eq!(out.evaluated, 0);
+        assert!(out.frontier.is_empty() && out.rungs.is_empty());
     }
 
     #[test]

@@ -83,14 +83,21 @@ impl From<Vec<Vec<Arc<str>>>> for LabelTable {
     }
 }
 
+/// The most MAC work (all layers × multiplicity, one sample) a workload
+/// may carry: over 10⁴× the largest zoo network, and far enough inside
+/// `u64` that every step and cycle count the cost model derives from it
+/// stays in range.
+pub const MAX_WORKLOAD_MACS: u64 = 1 << 48;
+
 /// Why a space cannot be swept ([`ParamSpace::check`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpaceError {
     /// A precision schedule does not fit a workload the space reaches.
     Schedule(ScheduleError),
-    /// A tile geometry no design can be priced at: a cluster size that
-    /// does not divide a reached tile's IPU count, a zero buffer depth,
-    /// or a zero tile count.
+    /// A geometry no design can be priced at: a cluster size that does
+    /// not divide a reached tile's IPU count, a zero buffer depth, a
+    /// tile count that is zero or overflows the tiles' K unrolling, or a
+    /// workload that is degenerate or past [`MAX_WORKLOAD_MACS`].
     Geometry(String),
 }
 
@@ -131,6 +138,43 @@ fn check_at_least_one(value: usize, what: &str) -> Result<(), SpaceError> {
         return Ok(());
     }
     Err(SpaceError::Geometry(format!("{what} must be at least 1")))
+}
+
+/// `n` tiles share the K dimension: `n × k_unroll` must not overflow.
+fn check_n_tiles(n: usize, k_unroll: usize) -> Result<(), SpaceError> {
+    check_at_least_one(n, "n_tiles")?;
+    match n.checked_mul(k_unroll) {
+        Some(_) => Ok(()),
+        None => Err(SpaceError::Geometry(format!(
+            "n_tiles {n} overflows the tiles' combined K unrolling"
+        ))),
+    }
+}
+
+/// A scenario's workload must be a non-degenerate stack whose MAC count
+/// fits [`MAX_WORKLOAD_MACS`].
+fn check_workload(scenario: &Scenario) -> Result<(), SpaceError> {
+    if let Some((c, s, d)) = scenario.synthetic_dims() {
+        if c == 0 || s == 0 || d == 0 {
+            return Err(SpaceError::Geometry(format!(
+                "synthetic stack [{c}, {s}, {d}] must have every dimension at least 1"
+            )));
+        }
+    }
+    let workload = scenario.resolve_workload();
+    let macs = workload.layers.iter().try_fold(0u64, |total, (l, m)| {
+        [l.k, l.h_out, l.w_out, l.r, l.s, *m]
+            .iter()
+            .try_fold(l.c as u64, |macs, &x| macs.checked_mul(x as u64))
+            .and_then(|layer| total.checked_add(layer))
+    });
+    match macs {
+        Some(macs) if macs <= MAX_WORKLOAD_MACS => Ok(()),
+        _ => Err(SpaceError::Geometry(format!(
+            "workload {} needs more than {MAX_WORKLOAD_MACS} MACs, past what the cycle model prices",
+            workload.label()
+        ))),
+    }
 }
 
 /// Stable identifier of one design point within its [`ParamSpace`]: the
@@ -309,20 +353,41 @@ impl ParamSpace {
         Ok(())
     }
 
-    /// Check that every point of the space can be priced: its schedules
-    /// fit its workloads ([`ParamSpace::check_schedules`]) and its tile
-    /// geometry is sound. Every cluster size — the base tile's, a
+    /// Check that every point of the space can be priced: its workloads
+    /// are sound, its schedules fit them ([`ParamSpace::check_schedules`]),
+    /// and its tile geometry is sound. Every workload — the base
+    /// scenario's or a [`Axis::Workload`] value — must be a synthetic
+    /// stack with no zero dimension or a network, within
+    /// [`MAX_WORKLOAD_MACS`]. Every cluster size — the base tile's, a
     /// [`crate::TileChoice`]'s own, or a [`Axis::Cluster`] value — must
-    /// divide the IPU count of every tile it reaches; buffer depths and
-    /// tile counts must be at least 1. Axis values are checked per axis,
+    /// divide the IPU count of every tile it reaches; buffer depths must
+    /// be at least 1, and tile counts at least 1 without overflowing any
+    /// reached tile's K unrolling. Axis values are checked per axis,
     /// never by enumerating their product. The sweep engine refuses
     /// spaces that fail; hosts taking spaces from users (the daemon)
     /// call this to reject them up front.
     pub fn check(&self) -> Result<(), SpaceError> {
+        check_workload(&self.base)?;
+        for axis in self.axes.iter().filter(|a| matches!(a, Axis::Workload(_))) {
+            for i in 0..axis.len() {
+                check_workload(&axis.apply(i, self.base.clone()))?;
+            }
+        }
         self.check_schedules()?;
         let design = self.base.design();
         check_tile(&design.tile)?;
-        check_at_least_one(design.n_tiles, "n_tiles")?;
+        // An n_tiles value meets every tile the space reaches.
+        let k_unroll = self
+            .axes
+            .iter()
+            .fold(design.tile.k_unroll, |k, axis| match axis {
+                Axis::Tile(choices) => choices
+                    .iter()
+                    .map(|c| c.config().k_unroll)
+                    .fold(k, usize::max),
+                _ => k,
+            });
+        check_n_tiles(design.n_tiles, k_unroll)?;
         // Distinct IPU counts of the tiles reachable so far: a cluster
         // axis applies to whichever tile the earlier axes left in place.
         let mut ipu_counts = vec![design.tile.ipus()];
@@ -351,7 +416,7 @@ impl ParamSpace {
                 }
                 Axis::NTiles(counts) => {
                     for &n in counts {
-                        check_at_least_one(n, "n_tiles")?;
+                        check_n_tiles(n, k_unroll)?;
                     }
                 }
                 _ => {}
@@ -540,6 +605,34 @@ mod tests {
         // Schedule misfits still surface as schedule errors.
         let mask = space(Axis::schedule_mask(5));
         assert!(matches!(mask.check(), Err(SpaceError::Schedule(_))));
+    }
+
+    #[test]
+    fn check_refuses_workloads_the_cycle_model_cannot_price() {
+        let base = Scenario::small_tile();
+        let geometry = |space: ParamSpace| match space.check() {
+            Err(SpaceError::Geometry(msg)) => msg,
+            other => panic!("expected a geometry error, got {other:?}"),
+        };
+        let synthetic = |c, s, d| ParamSpace::new(base.clone().synthetic(c, s, d));
+        for (c, s, d) in [(0, 14, 2), (64, 0, 2), (64, 14, 0)] {
+            assert!(geometry(synthetic(c, s, d)).contains("synthetic stack"));
+        }
+        assert!(geometry(synthetic(100_000, 100_000, 100_000)).contains("MACs"));
+        assert!(synthetic(64, 14, 26).check().is_ok());
+        let axis = Axis::workload(vec![WorkloadSel::Synthetic(0, 14, 2)]);
+        assert!(geometry(ParamSpace::new(base.clone()).axis(axis)).contains("synthetic"));
+        // The small tile unrolls K by 8: 2^61 tiles wrap the product to 0.
+        let huge = 1usize << 61;
+        assert!(geometry(ParamSpace::new(base.clone().n_tiles(huge))).contains("n_tiles"));
+        let axis = Axis::n_tiles(vec![1, huge]);
+        assert!(geometry(ParamSpace::new(base.clone()).axis(axis)).contains("n_tiles"));
+        // Only reached tiles count: 2^60 fits the small tile's 8, not the
+        // big tile's 16.
+        let n = ParamSpace::new(base.n_tiles(1 << 60));
+        assert!(n.clone().check().is_ok());
+        let big = n.axis(Axis::tile(vec![TileChoice::Big]));
+        assert!(geometry(big).contains("n_tiles"));
     }
 
     #[test]

@@ -49,7 +49,7 @@
 
 use mpipu_bench::json::Json;
 use mpipu_serve::presets;
-use mpipu_serve::request::{EvalReq, PassSel, Request, ScenarioSpec, SearchReq, SweepReq, TileSel};
+use mpipu_serve::request::{EvalReq, Label, Request, ScenarioSpec, SearchReq, SweepReq};
 use mpipu_serve::service::{reference_search_result, reference_sweep_result};
 use mpipu_serve::{run_sharded, wire, worker_main, Client, Response, ShardConfig};
 use std::time::{Duration, Instant};
@@ -224,26 +224,22 @@ fn eval(args: &[String]) -> i32 {
     }
 }
 
+/// A `--flag` value read through its wire label table.
+fn label_flag<T: Label>(opts: &Opts, flag: &str) -> Result<Option<T>, String> {
+    opts.get(flag)
+        .map(T::from_label)
+        .transpose()
+        .map_err(|e| format!("invalid --{flag}: {}", e.message))
+}
+
 fn eval_request(opts: &Opts) -> Result<Request, String> {
-    let tile = match opts.get("tile") {
-        None => None,
-        Some("small") => Some(TileSel::Small),
-        Some("big") => Some(TileSel::Big),
-        Some(other) => return Err(format!("invalid --tile {other:?}")),
-    };
-    let pass = match opts.get("pass") {
-        None => None,
-        Some("fwd") => Some(PassSel::Fwd),
-        Some("bwd") => Some(PassSel::Bwd),
-        Some(other) => return Err(format!("invalid --pass {other:?}")),
-    };
     Ok(Request::Eval(EvalReq {
         scenario: ScenarioSpec {
-            tile,
+            tile: label_flag(opts, "tile")?,
             w: opts.num("w")?,
             cluster: opts.num("cluster")?,
             software_precision: opts.num("swp")?,
-            pass,
+            pass: label_flag(opts, "pass")?,
             seed: opts.num("seed")?,
             sample_steps: opts.num("steps")?,
             ..ScenarioSpec::default()

@@ -114,10 +114,14 @@ impl ChunkGovernor for Ticket {
 }
 
 impl Drop for Ticket {
+    /// Deregister the sweep and return any slots it still holds: a chunk
+    /// that panicked between `acquire` and `release` must not keep its
+    /// slot from every later sweep.
     fn drop(&mut self) {
         {
             let mut st = self.pool.state.lock().unwrap();
             st.active = st.active.saturating_sub(1);
+            st.in_flight = st.in_flight.saturating_sub(*self.held.get_mut());
         }
         self.pool.cv.notify_all();
     }
@@ -139,6 +143,21 @@ mod tests {
             t.release();
         }
         assert_eq!(pool.state.lock().unwrap().in_flight, 0);
+    }
+
+    #[test]
+    fn dropped_ticket_returns_the_slots_it_never_released() {
+        let pool = FairShare::new(4);
+        let leaky = pool.ticket(CancelToken::new());
+        for _ in 0..4 {
+            assert!(leaky.acquire());
+        }
+        drop(leaky);
+        assert_eq!(pool.state.lock().unwrap().in_flight, 0);
+        let next = pool.ticket(CancelToken::new());
+        for _ in 0..4 {
+            assert!(next.acquire(), "the whole pool is free again");
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!
 //! * [`request`] — the typed request schema: a strict parser
 //!   ([`request::Request::parse`]) and a canonical emitter, related by
-//!   `parse(emit(r)) == r`.
+//!   `parse(emit(r)) == r`, both written through one field codec (a
+//!   typed value codec, a strict object reader that names each field by
+//!   its dotted path, an optional-field writer, and one
+//!   [`request::Label`] table per closed label set).
 //! * [`fair`] — fair-share chunk scheduling: one [`fair::FairShare`]
 //!   pool rations the engine's chunk evaluations evenly across every
 //!   sweep currently running, so a large request cannot starve small
@@ -37,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod codec;
 pub mod fair;
 pub mod journal;
 pub mod presets;

@@ -2,16 +2,9 @@
 //! and the end-to-end tests.
 
 use crate::request::{
-    AxisSpec, DistSpec, PassSel, ScenarioSpec, SearchReq, SweepReq, TileSel, TopKSpec,
-    WorkloadSpec, ZooSel,
+    AxisSpec, PassSel, ScenarioSpec, SearchReq, SweepReq, TileSel, TopKSpec, WorkloadSpec, ZooSel,
 };
 use mpipu_explore::{grid_u32, log2_range};
-use mpipu_sim::cost::pass_distributions;
-
-fn dist_pair(pass: PassSel) -> (DistSpec, DistSpec) {
-    let (act, wgt) = pass_distributions(pass.to_pass());
-    (DistSpec::from_dist(act), DistSpec::from_dist(wgt))
-}
 
 /// A small demo sweep (372 points, sub-second): ResNet-18, the W axis
 /// against three cluster sizes, both software precisions, both passes'
@@ -28,7 +21,7 @@ pub fn demo_sweep() -> SweepReq {
             AxisSpec::W(grid_u32(8, 38, 1)),
             AxisSpec::Cluster(vec![1, 4, 16]),
             AxisSpec::SoftwarePrecision(vec![16, 28]),
-            AxisSpec::Dists(vec![dist_pair(PassSel::Fwd), dist_pair(PassSel::Bwd)]),
+            AxisSpec::Dists(vec![PassSel::Fwd.dists(), PassSel::Bwd.dists()]),
         ],
         top_k: Some(TopKSpec {
             objective: "fp_tflops_per_w".to_string(),
@@ -61,7 +54,7 @@ pub fn frontier_sweep(scale: f64) -> SweepReq {
             AxisSpec::SoftwarePrecision(vec![16, 28]),
             AxisSpec::NTiles(log2_range(1, 8)),
             AxisSpec::BufferDepth(vec![2, 4, 8]),
-            AxisSpec::Dists(vec![dist_pair(PassSel::Fwd), dist_pair(PassSel::Bwd)]),
+            AxisSpec::Dists(vec![PassSel::Fwd.dists(), PassSel::Bwd.dists()]),
         ],
         top_k: Some(TopKSpec {
             objective: "fp_tflops_per_w".to_string(),
@@ -95,7 +88,7 @@ pub fn cold_grid_sweep() -> SweepReq {
             AxisSpec::W(grid_u32(8, 38, 1)),
             AxisSpec::SoftwarePrecision((10..=28).collect()),
             AxisSpec::Cluster(log2_range(1, 16)),
-            AxisSpec::Dists(vec![dist_pair(PassSel::Fwd), dist_pair(PassSel::Bwd)]),
+            AxisSpec::Dists(vec![PassSel::Fwd.dists(), PassSel::Bwd.dists()]),
         ],
         top_k: Some(TopKSpec {
             objective: "fp_tflops_per_w".to_string(),

@@ -10,27 +10,36 @@
 //! | `stats` | server counters + shared-cache counters |
 //! | `eval` | price one scenario |
 //! | `sweep` | sweep a declared parameter space, streaming progress |
+//! | `search` | guided search over a declared parameter space |
 //!
+//! Every type reads and writes through the crate's one wire codec, so
 //! [`Request::parse`] is strict — unknown fields, wrong types, unknown
-//! enum labels, and empty axes are structured [`WireError`]s, never
-//! panics — and [`Request::to_json`] emits the canonical form, so
+//! labels, and empty axes are structured [`WireError`]s, never panics —
+//! and [`Request::to_json`] emits the canonical form, so
 //! `parse(emit(r)) == r` for every representable request (held by a
-//! property test). Convenience sugar is accepted on input and
-//! canonicalized away: `{"axis":"w","grid":[lo,hi,step]}` and
-//! `{"axis":"cluster","log2":[lo,hi]}` expand to explicit value lists,
-//! and a dists-axis entry may be the shorthand `"fwd"`/`"bwd"` for the
-//! pass-derived distribution pair.
+//! property test). Each closed label set is one [`Label`] table.
+//! Convenience sugar is accepted on input and canonicalized away:
+//! `{"axis":"w","grid":[lo,hi,step]}` and `{"axis":"cluster","log2":[lo,hi]}`
+//! expand to explicit value lists, and a dists value may be the
+//! shorthand `"fwd"`/`"bwd"` for the pass-derived distribution pair.
 //!
 //! The `schedule` axis is deliberately *not* in wire v1: it carries an
 //! open-ended policy type, so a policy-scheduled sweep stays an
 //! in-process (library) affair (`schedule_mask` is on the wire).
 
+pub use crate::codec::Label;
+use crate::codec::{optional_fields, str_at, Fields, Obj, Path, Wire};
 use mpipu::{Scenario, Zoo};
 use mpipu_analysis::dist::Distribution;
 use mpipu_bench::json::Json;
 use mpipu_dnn::zoo::Pass;
-use mpipu_explore::{grid_u32, objectives, Axis, Objective, ParamSpace, TileChoice, WorkloadSel};
+use mpipu_explore::{
+    grid_u32, log2_range, objectives, Axis, Objective, ParamSpace, ParetoFold, TileChoice, TopK,
+    WorkloadSel,
+};
+use mpipu_sim::cost::pass_distributions;
 use mpipu_sim::TileConfig;
+use std::mem::discriminant;
 
 /// Machine-readable error category carried on the wire (`error` events'
 /// `code` field).
@@ -114,32 +123,31 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Every objective name the wire accepts, in catalog order.
-pub const OBJECTIVE_NAMES: [&str; 7] = [
-    "cycles",
-    "fp_slowdown",
-    "fp_fraction",
-    "int_tops_per_mm2",
-    "int_tops_per_w",
-    "fp_tflops_per_mm2",
-    "fp_tflops_per_w",
-];
-
 /// Default sweep objectives (the frontier experiment's triple).
 pub const DEFAULT_OBJECTIVES: [&str; 3] = ["fp_slowdown", "int_tops_per_mm2", "fp_tflops_per_w"];
 
-/// Resolve a wire objective name against the builtin catalog.
-pub fn objective_by_name(name: &str) -> Option<Objective> {
-    Some(match name {
-        "cycles" => objectives::CYCLES,
-        "fp_slowdown" => objectives::FP_SLOWDOWN,
-        "fp_fraction" => objectives::FP_FRACTION,
-        "int_tops_per_mm2" => objectives::INT_TOPS_PER_MM2,
-        "int_tops_per_w" => objectives::INT_TOPS_PER_W,
-        "fp_tflops_per_mm2" => objectives::FP_TFLOPS_PER_MM2,
-        "fp_tflops_per_w" => objectives::FP_TFLOPS_PER_W,
-        _ => return None,
+fn default_objectives() -> Vec<String> {
+    DEFAULT_OBJECTIVES.map(String::from).to_vec()
+}
+
+/// Resolve a wire objective name against [`objectives::ALL`].
+fn objective(name: &str) -> Result<Objective, WireError> {
+    objectives::by_name(name).ok_or_else(|| {
+        let catalog: Vec<&str> = objectives::ALL.iter().map(|o| o.name).collect();
+        WireError::bad_request(format!(
+            "unknown objective {name:?} (catalog: {})",
+            catalog.join(", ")
+        ))
     })
+}
+
+/// Resolve a non-empty list of objective names (shared by the sweep and
+/// search requests).
+fn resolve_objective_names(names: &[String]) -> Result<Vec<Objective>, WireError> {
+    if names.is_empty() {
+        return Err(WireError::bad_request("objectives must not be empty"));
+    }
+    names.iter().map(|name| objective(name)).collect()
 }
 
 /// Tile family selector (`"small"` / `"big"`).
@@ -151,25 +159,13 @@ pub enum TileSel {
     Big,
 }
 
+impl Label for TileSel {
+    const NOUN: &'static str = "tile";
+    const LABELS: &'static [(TileSel, &'static str)] =
+        &[(TileSel::Small, "small"), (TileSel::Big, "big")];
+}
+
 impl TileSel {
-    /// The stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TileSel::Small => "small",
-            TileSel::Big => "big",
-        }
-    }
-
-    fn parse(label: &str) -> Result<TileSel, WireError> {
-        match label {
-            "small" => Ok(TileSel::Small),
-            "big" => Ok(TileSel::Big),
-            other => Err(WireError::bad_request(format!(
-                "unknown tile {other:?} (expected \"small\" or \"big\")"
-            ))),
-        }
-    }
-
     /// The exploration-axis tile choice this selects.
     pub fn to_choice(self) -> TileChoice {
         match self {
@@ -188,31 +184,26 @@ pub enum PassSel {
     Bwd,
 }
 
+impl Label for PassSel {
+    const NOUN: &'static str = "pass";
+    const LABELS: &'static [(PassSel, &'static str)] =
+        &[(PassSel::Fwd, "fwd"), (PassSel::Bwd, "bwd")];
+}
+
 impl PassSel {
-    /// The stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            PassSel::Fwd => "fwd",
-            PassSel::Bwd => "bwd",
-        }
-    }
-
-    fn parse(label: &str) -> Result<PassSel, WireError> {
-        match label {
-            "fwd" => Ok(PassSel::Fwd),
-            "bwd" => Ok(PassSel::Bwd),
-            other => Err(WireError::bad_request(format!(
-                "unknown pass {other:?} (expected \"fwd\" or \"bwd\")"
-            ))),
-        }
-    }
-
     /// The simulator pass this selects.
     pub fn to_pass(self) -> Pass {
         match self {
             PassSel::Fwd => Pass::Forward,
             PassSel::Bwd => Pass::Backward,
         }
+    }
+
+    /// The pass's own `(activation, weight)` distribution pair — what a
+    /// `"fwd"`/`"bwd"` dists value names.
+    pub fn dists(self) -> DistPair {
+        let (act, wgt) = pass_distributions(self.to_pass());
+        (DistSpec::from_dist(act), DistSpec::from_dist(wgt))
     }
 }
 
@@ -227,27 +218,16 @@ pub enum ZooSel {
     Inceptionv3,
 }
 
+impl Label for ZooSel {
+    const NOUN: &'static str = "zoo model";
+    const LABELS: &'static [(ZooSel, &'static str)] = &[
+        (ZooSel::Resnet18, "resnet18"),
+        (ZooSel::Resnet50, "resnet50"),
+        (ZooSel::Inceptionv3, "inceptionv3"),
+    ];
+}
+
 impl ZooSel {
-    /// The stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ZooSel::Resnet18 => "resnet18",
-            ZooSel::Resnet50 => "resnet50",
-            ZooSel::Inceptionv3 => "inceptionv3",
-        }
-    }
-
-    fn parse(label: &str) -> Result<ZooSel, WireError> {
-        match label {
-            "resnet18" => Ok(ZooSel::Resnet18),
-            "resnet50" => Ok(ZooSel::Resnet50),
-            "inceptionv3" => Ok(ZooSel::Inceptionv3),
-            other => Err(WireError::bad_request(format!(
-                "unknown zoo model {other:?} (expected resnet18, resnet50, or inceptionv3)"
-            ))),
-        }
-    }
-
     /// The zoo model this selects.
     pub fn to_zoo(self) -> Zoo {
         match self {
@@ -270,46 +250,31 @@ pub enum WorkloadSpec {
     Synthetic(usize, usize, usize),
 }
 
-impl WorkloadSpec {
-    fn to_json(self) -> Json {
-        match self {
-            WorkloadSpec::Zoo(z) => Json::obj([("zoo", Json::str(z.label()))]),
-            WorkloadSpec::Synthetic(c, s, d) => Json::obj([(
-                "synthetic",
-                Json::Arr(vec![Json::from(c), Json::from(s), Json::from(d)]),
-            )]),
+impl Wire for WorkloadSpec {
+    fn write(&self) -> Json {
+        match *self {
+            WorkloadSpec::Zoo(z) => Fields::default().put("zoo", &z),
+            WorkloadSpec::Synthetic(c, s, d) => Fields::default().put("synthetic", &[c, s, d]),
         }
+        .into()
     }
 
-    fn parse(j: &Json) -> Result<WorkloadSpec, WireError> {
-        let fields = as_obj(j, "workload")?;
-        check_keys(fields, &["zoo", "synthetic"], "workload")?;
-        match (field(fields, "zoo"), field(fields, "synthetic")) {
-            (Some(z), None) => Ok(WorkloadSpec::Zoo(ZooSel::parse(as_str(
-                z,
-                "workload.zoo",
-            )?)?)),
-            (None, Some(s)) => {
-                let arr = s
-                    .as_arr()
-                    .ok_or_else(|| WireError::bad_request("workload.synthetic must be an array"))?;
-                if arr.len() != 3 {
-                    return Err(WireError::bad_request(
-                        "workload.synthetic must be [channels, spatial, depth]",
-                    ));
-                }
-                Ok(WorkloadSpec::Synthetic(
-                    as_usize(&arr[0], "workload.synthetic[0]")?,
-                    as_usize(&arr[1], "workload.synthetic[1]")?,
-                    as_usize(&arr[2], "workload.synthetic[2]")?,
-                ))
+    fn read(j: &Json, at: Path<'_>) -> Result<WorkloadSpec, WireError> {
+        let o = Obj::open(j, at, &["zoo", "synthetic"])?;
+        match (o.raw("zoo"), o.raw("synthetic")) {
+            (Some(_), None) => Ok(WorkloadSpec::Zoo(o.req("zoo")?)),
+            (None, Some(_)) => {
+                let [c, s, d] = o.req("synthetic")?;
+                Ok(WorkloadSpec::Synthetic(c, s, d))
             }
-            _ => Err(WireError::bad_request(
-                "workload must have exactly one of \"zoo\" or \"synthetic\"",
-            )),
+            _ => Err(WireError::bad_request(format!(
+                "{at} must have exactly one of \"zoo\" or \"synthetic\""
+            ))),
         }
     }
+}
 
+impl WorkloadSpec {
     /// The exploration-axis workload this selects.
     pub fn to_sel(self) -> WorkloadSel {
         match self {
@@ -348,69 +313,61 @@ pub enum DistSpec {
     Weight,
 }
 
-impl DistSpec {
-    fn kind(self) -> &'static str {
-        match self {
-            DistSpec::Uniform { .. } => "uniform",
-            DistSpec::Normal { .. } => "normal",
-            DistSpec::Laplace { .. } => "laplace",
-            DistSpec::Resnet18 => "resnet18",
-            DistSpec::Resnet50 => "resnet50",
-            DistSpec::Backward => "backward",
-            DistSpec::Weight => "weight",
-        }
-    }
+/// A distribution kind: its wire label, the key of its one parameter
+/// (`""` for the fitted shapes, which have none), and its constructor.
+type DistKind = (&'static str, &'static str, fn(f64) -> DistSpec);
 
-    fn to_json(self) -> Json {
-        let mut fields = vec![("kind".to_string(), Json::str(self.kind()))];
-        match self {
-            DistSpec::Uniform { scale } => fields.push(("scale".to_string(), Json::Num(scale))),
-            DistSpec::Normal { std } => fields.push(("std".to_string(), Json::Num(std))),
-            DistSpec::Laplace { b } => fields.push(("b".to_string(), Json::Num(b))),
-            _ => {}
-        }
-        Json::Obj(fields)
-    }
+/// The distribution kinds' label table.
+const DIST_KINDS: [DistKind; 7] = [
+    ("uniform", "scale", |scale| DistSpec::Uniform { scale }),
+    ("normal", "std", |std| DistSpec::Normal { std }),
+    ("laplace", "b", |b| DistSpec::Laplace { b }),
+    ("resnet18", "", |_| DistSpec::Resnet18),
+    ("resnet50", "", |_| DistSpec::Resnet50),
+    ("backward", "", |_| DistSpec::Backward),
+    ("weight", "", |_| DistSpec::Weight),
+];
 
-    fn parse(j: &Json) -> Result<DistSpec, WireError> {
-        let fields = as_obj(j, "distribution")?;
-        let kind = as_str(
-            field(fields, "kind")
-                .ok_or_else(|| WireError::bad_request("distribution is missing \"kind\""))?,
-            "distribution.kind",
-        )?;
-        let param = |name: &str| -> Result<f64, WireError> {
-            check_keys(fields, &["kind", name], "distribution")?;
-            field(fields, name)
-                .and_then(Json::as_f64)
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| {
-                    WireError::bad_request(format!(
-                        "distribution kind {kind:?} needs a finite numeric \"{name}\""
-                    ))
-                })
+impl Wire for DistSpec {
+    fn write(&self) -> Json {
+        let param = match *self {
+            DistSpec::Uniform { scale } => scale,
+            DistSpec::Normal { std } => std,
+            DistSpec::Laplace { b } => b,
+            _ => 0.0,
         };
-        match kind {
-            "uniform" => Ok(DistSpec::Uniform {
-                scale: param("scale")?,
-            }),
-            "normal" => Ok(DistSpec::Normal { std: param("std")? }),
-            "laplace" => Ok(DistSpec::Laplace { b: param("b")? }),
-            "resnet18" | "resnet50" | "backward" | "weight" => {
-                check_keys(fields, &["kind"], "distribution")?;
-                Ok(match kind {
-                    "resnet18" => DistSpec::Resnet18,
-                    "resnet50" => DistSpec::Resnet50,
-                    "backward" => DistSpec::Backward,
-                    _ => DistSpec::Weight,
-                })
-            }
-            other => Err(WireError::bad_request(format!(
-                "unknown distribution kind {other:?}"
-            ))),
+        let (kind, key, _) = DIST_KINDS
+            .iter()
+            .find(|(_, _, make)| discriminant(&make(param)) == discriminant(self))
+            .expect("every kind is in the table");
+        let out = Fields::default().put("kind", *kind);
+        match *key {
+            "" => out,
+            key => out.put(key, &param),
         }
+        .into()
     }
 
+    fn read(j: &Json, at: Path<'_>) -> Result<DistSpec, WireError> {
+        let o = Obj::open(j, at, &["kind", "scale", "std", "b"])?;
+        let kind = o.str("kind")?;
+        let Some(&(_, key, make)) = DIST_KINDS.iter().find(|(label, _, _)| *label == kind) else {
+            let kinds: Vec<&str> = DIST_KINDS.iter().map(|(label, _, _)| *label).collect();
+            return Err(WireError::bad_request(format!(
+                "unknown distribution kind {kind:?} (expected {})",
+                kinds.join(", ")
+            )));
+        };
+        if key.is_empty() {
+            o.only(&["kind"])?;
+            return Ok(make(0.0));
+        }
+        o.only(&["kind", key])?;
+        Ok(make(o.req(key)?))
+    }
+}
+
+impl DistSpec {
     /// The analysis-layer distribution this selects.
     pub fn to_dist(self) -> Distribution {
         match self {
@@ -440,27 +397,28 @@ impl DistSpec {
 }
 
 /// An `(activation, weight)` distribution pair, wire form
-/// `{"act":{...},"wgt":{...}}`.
+/// `{"act":{...},"wgt":{...}}` (or `"fwd"`/`"bwd"` on input, for
+/// [`PassSel::dists`]).
 pub type DistPair = (DistSpec, DistSpec);
 
-fn dist_pair_to_json(pair: &DistPair) -> Json {
-    Json::obj([("act", pair.0.to_json()), ("wgt", pair.1.to_json())])
-}
-
-fn parse_dist_pair(j: &Json) -> Result<DistPair, WireError> {
-    // Sugar: "fwd"/"bwd" is the pass-derived distribution pair.
-    if let Some(label) = j.as_str() {
-        let pass = PassSel::parse(label)?;
-        let (act, wgt) = mpipu_sim::cost::pass_distributions(pass.to_pass());
-        return Ok((DistSpec::from_dist(act), DistSpec::from_dist(wgt)));
+impl Wire for DistPair {
+    fn write(&self) -> Json {
+        Fields::default()
+            .put("act", &self.0)
+            .put("wgt", &self.1)
+            .into()
     }
-    let fields = as_obj(j, "dists")?;
-    check_keys(fields, &["act", "wgt"], "dists")?;
-    let act =
-        field(fields, "act").ok_or_else(|| WireError::bad_request("dists is missing \"act\""))?;
-    let wgt =
-        field(fields, "wgt").ok_or_else(|| WireError::bad_request("dists is missing \"wgt\""))?;
-    Ok((DistSpec::parse(act)?, DistSpec::parse(wgt)?))
+
+    fn read(j: &Json, at: Path<'_>) -> Result<DistPair, WireError> {
+        if j.as_str().is_some() {
+            return Ok(PassSel::read(j, at)?.dists());
+        }
+        let o = Obj::open(j, at, &["act", "wgt"])?;
+        // Both must be present before either is read.
+        o.need("act")?;
+        o.need("wgt")?;
+        Ok((o.req("act")?, o.req("wgt")?))
+    }
 }
 
 /// A scenario described field-by-field; unset fields keep the
@@ -492,85 +450,21 @@ pub struct ScenarioSpec {
     pub sample_steps: Option<usize>,
 }
 
-const SCENARIO_KEYS: [&str; 11] = [
-    "tile",
-    "w",
-    "software_precision",
-    "cluster",
-    "buffer_depth",
-    "n_tiles",
-    "workload",
-    "pass",
-    "dists",
-    "seed",
-    "sample_steps",
-];
+optional_fields!(ScenarioSpec {
+    tile,
+    w,
+    software_precision,
+    cluster,
+    buffer_depth,
+    n_tiles,
+    workload,
+    pass,
+    dists,
+    seed,
+    sample_steps,
+});
 
 impl ScenarioSpec {
-    /// The canonical wire object (set fields only, fixed order).
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                fields.push((key.to_string(), v));
-            }
-        };
-        push("tile", self.tile.map(|t| Json::str(t.label())));
-        push("w", self.w.map(Json::from));
-        push(
-            "software_precision",
-            self.software_precision.map(Json::from),
-        );
-        push("cluster", self.cluster.map(Json::from));
-        push("buffer_depth", self.buffer_depth.map(Json::from));
-        push("n_tiles", self.n_tiles.map(Json::from));
-        push("workload", self.workload.map(WorkloadSpec::to_json));
-        push("pass", self.pass.map(|p| Json::str(p.label())));
-        push("dists", self.dists.as_ref().map(dist_pair_to_json));
-        push("seed", self.seed.map(Json::from));
-        push("sample_steps", self.sample_steps.map(Json::from));
-        Json::Obj(fields)
-    }
-
-    /// Parse a wire scenario object (strict: unknown fields error).
-    pub fn parse(j: &Json) -> Result<ScenarioSpec, WireError> {
-        let fields = as_obj(j, "scenario")?;
-        check_keys(fields, &SCENARIO_KEYS, "scenario")?;
-        Ok(ScenarioSpec {
-            tile: field(fields, "tile")
-                .map(|v| TileSel::parse(as_str(v, "scenario.tile")?))
-                .transpose()?,
-            w: field(fields, "w")
-                .map(|v| as_u32(v, "scenario.w"))
-                .transpose()?,
-            software_precision: field(fields, "software_precision")
-                .map(|v| as_u32(v, "scenario.software_precision"))
-                .transpose()?,
-            cluster: field(fields, "cluster")
-                .map(|v| as_usize(v, "scenario.cluster"))
-                .transpose()?,
-            buffer_depth: field(fields, "buffer_depth")
-                .map(|v| as_usize(v, "scenario.buffer_depth"))
-                .transpose()?,
-            n_tiles: field(fields, "n_tiles")
-                .map(|v| as_usize(v, "scenario.n_tiles"))
-                .transpose()?,
-            workload: field(fields, "workload")
-                .map(WorkloadSpec::parse)
-                .transpose()?,
-            pass: field(fields, "pass")
-                .map(|v| PassSel::parse(as_str(v, "scenario.pass")?))
-                .transpose()?,
-            dists: field(fields, "dists").map(parse_dist_pair).transpose()?,
-            seed: field(fields, "seed")
-                .map(|v| as_u64(v, "scenario.seed"))
-                .transpose()?,
-            sample_steps: field(fields, "sample_steps")
-                .map(|v| as_usize(v, "scenario.sample_steps"))
-                .transpose()?,
-        })
-    }
-
     /// Build the scenario chain (unset fields keep builder defaults).
     pub fn to_scenario(&self) -> Scenario {
         let mut s = match self.tile {
@@ -618,122 +512,124 @@ impl ScenarioSpec {
     }
 }
 
-/// One swept axis with explicit values, wire form
-/// `{"axis": <name>, "values": [...]}`. [`AxisSpec::parse`] also accepts
-/// `"grid": [lo, hi, step]` (for `w`) and `"log2": [lo, hi]` (for
-/// `cluster` / `n_tiles`) range sugar, canonicalized to value lists.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AxisSpec {
+/// Declare [`AxisSpec`] from one table of its value-list axes — variant,
+/// element type, wire name, and the exploration axis it builds — plus the
+/// `schedule_mask` axis, which carries a width instead of a value list.
+/// The catalog ([`AxisSpec::NAMES`]), `name`, `len`, the codec, and
+/// `to_axis` all read this one table.
+macro_rules! axis_specs {
+    ($($(#[$doc:meta])* $var:ident($elem:ty) = $name:literal => |$v:ident| $axis:expr,)*) => {
+        /// One swept axis with explicit values, wire form
+        /// `{"axis": <name>, "values": [...]}`. Reading also accepts
+        /// `"grid": [lo, hi, step]` (for `w`) and `"log2": [lo, hi]` (for
+        /// `cluster` / `n_tiles`) range sugar, canonicalized to value lists.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum AxisSpec {
+            $($(#[$doc])* $var(Vec<$elem>),)*
+            /// Per-layer INT/FP16 precision masks over this many layers —
+            /// `2^layers` points, wire form `{"axis":"schedule_mask","layers":N}`.
+            /// Unlike the policy-valued `schedule` axis (still not in wire
+            /// v1), a mask axis is a closed, enumerable value set, which is
+            /// what the `search` request needs to address points by
+            /// [`mpipu_explore::DesignId`].
+            ScheduleMask(u32),
+        }
+
+        impl AxisSpec {
+            /// Every wire axis name, in catalog order.
+            pub const NAMES: &'static [&'static str] = &[$($name,)* "schedule_mask"];
+
+            /// The axis's stable wire name (identical to [`Axis::name`]).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(AxisSpec::$var(_) => $name,)*
+                    AxisSpec::ScheduleMask(_) => "schedule_mask",
+                }
+            }
+
+            /// Number of values on the axis.
+            pub fn len(&self) -> usize {
+                match self {
+                    $(AxisSpec::$var(v) => v.len(),)*
+                    AxisSpec::ScheduleMask(layers) => 1usize << layers,
+                }
+            }
+
+            /// Build the exploration axis.
+            pub fn to_axis(&self) -> Axis {
+                match self {
+                    $(AxisSpec::$var($v) => $axis,)*
+                    AxisSpec::ScheduleMask(layers) => Axis::schedule_mask(*layers),
+                }
+            }
+
+            /// The canonical wire object after its `axis` name.
+            fn write_values(&self, out: Fields) -> Fields {
+                match self {
+                    $(AxisSpec::$var(v) => out.put("values", v),)*
+                    AxisSpec::ScheduleMask(layers) => out.put("layers", layers),
+                }
+            }
+
+            /// Read the value list of the axis named `name`.
+            fn read_values(name: &str, values: &Json, at: Path<'_>) -> Result<AxisSpec, WireError> {
+                match name {
+                    $($name => Ok(AxisSpec::$var(Wire::read(values, at)?)),)*
+                    "schedule" => Err(WireError::bad_request(
+                        "the schedule axis is not part of wire v1 (use the library directly)",
+                    )),
+                    other => Err(WireError::bad_request(format!(
+                        "unknown axis {other:?} (expected {})",
+                        AxisSpec::NAMES.join(", ")
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+axis_specs! {
     /// Adder-tree widths.
-    W(Vec<u32>),
+    W(u32) = "w" => |v| Axis::w(v.clone()),
     /// Stage-4 software precisions.
-    SoftwarePrecision(Vec<u32>),
+    SoftwarePrecision(u32) = "software_precision" => |v| Axis::software_precision(v.clone()),
     /// Cluster sizes.
-    Cluster(Vec<usize>),
+    Cluster(usize) = "cluster" => |v| Axis::cluster(v.clone()),
     /// FIFO depths.
-    BufferDepth(Vec<usize>),
+    BufferDepth(usize) = "buffer_depth" => |v| Axis::buffer_depth(v.clone()),
     /// Tiles per chip.
-    NTiles(Vec<usize>),
+    NTiles(usize) = "n_tiles" => |v| Axis::n_tiles(v.clone()),
     /// Tile families.
-    Tile(Vec<TileSel>),
+    Tile(TileSel) = "tile" => |v| Axis::tile(v.iter().map(|t| t.to_choice()).collect()),
     /// Workloads.
-    Workload(Vec<WorkloadSpec>),
+    Workload(WorkloadSpec) = "workload" => |v| Axis::workload(v.iter().map(|w| w.to_sel()).collect()),
     /// Passes.
-    Pass(Vec<PassSel>),
+    Pass(PassSel) = "pass" => |v| Axis::pass(v.iter().map(|p| p.to_pass()).collect()),
     /// `(activation, weight)` distribution pairs.
-    Dists(Vec<DistPair>),
-    /// Per-layer INT/FP16 precision masks over this many layers —
-    /// `2^layers` points, wire form `{"axis":"schedule_mask","layers":N}`.
-    /// Unlike the policy-valued `schedule` axis (still not in wire v1),
-    /// a mask axis is a closed, enumerable value set, which is what the
-    /// `search` request needs to address points by [`mpipu_explore::DesignId`].
-    ScheduleMask(u32),
+    Dists(DistPair) = "dists" => |v| {
+        Axis::distributions(v.iter().map(|(a, w)| (a.to_dist(), w.to_dist())).collect())
+    },
 }
 
 impl AxisSpec {
-    /// The axis's stable wire name (identical to [`Axis::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AxisSpec::W(_) => "w",
-            AxisSpec::SoftwarePrecision(_) => "software_precision",
-            AxisSpec::Cluster(_) => "cluster",
-            AxisSpec::BufferDepth(_) => "buffer_depth",
-            AxisSpec::NTiles(_) => "n_tiles",
-            AxisSpec::Tile(_) => "tile",
-            AxisSpec::Workload(_) => "workload",
-            AxisSpec::Pass(_) => "pass",
-            AxisSpec::Dists(_) => "dists",
-            AxisSpec::ScheduleMask(_) => "schedule_mask",
-        }
-    }
-
-    /// Number of values on the axis.
-    pub fn len(&self) -> usize {
-        match self {
-            AxisSpec::W(v) => v.len(),
-            AxisSpec::SoftwarePrecision(v) => v.len(),
-            AxisSpec::Cluster(v) => v.len(),
-            AxisSpec::BufferDepth(v) => v.len(),
-            AxisSpec::NTiles(v) => v.len(),
-            AxisSpec::Tile(v) => v.len(),
-            AxisSpec::Workload(v) => v.len(),
-            AxisSpec::Pass(v) => v.len(),
-            AxisSpec::Dists(v) => v.len(),
-            AxisSpec::ScheduleMask(layers) => 1usize << layers,
-        }
-    }
-
     /// Whether the axis has no values (rejected by the parser).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// The canonical wire object.
-    pub fn to_json(&self) -> Json {
-        if let AxisSpec::ScheduleMask(layers) = self {
-            return Json::obj([
-                ("axis", Json::str("schedule_mask")),
-                ("layers", Json::from(*layers)),
-            ]);
-        }
-        let values = match self {
-            AxisSpec::W(v) => v.iter().copied().map(Json::from).collect(),
-            AxisSpec::SoftwarePrecision(v) => v.iter().copied().map(Json::from).collect(),
-            AxisSpec::Cluster(v) => v.iter().copied().map(Json::from).collect(),
-            AxisSpec::BufferDepth(v) => v.iter().copied().map(Json::from).collect(),
-            AxisSpec::NTiles(v) => v.iter().copied().map(Json::from).collect(),
-            AxisSpec::Tile(v) => v.iter().map(|t| Json::str(t.label())).collect(),
-            AxisSpec::Workload(v) => v.iter().map(|w| w.to_json()).collect(),
-            AxisSpec::Pass(v) => v.iter().map(|p| Json::str(p.label())).collect(),
-            AxisSpec::Dists(v) => v.iter().map(dist_pair_to_json).collect(),
-            AxisSpec::ScheduleMask(_) => unreachable!("handled above"),
-        };
-        Json::obj([
-            ("axis", Json::str(self.name())),
-            ("values", Json::Arr(values)),
-        ])
+impl Wire for AxisSpec {
+    fn write(&self) -> Json {
+        let out = Fields::default().put("axis", self.name());
+        self.write_values(out).into()
     }
 
-    /// Parse a wire axis object (strict; accepts `grid`/`log2` sugar).
-    pub fn parse(j: &Json) -> Result<AxisSpec, WireError> {
-        let fields = as_obj(j, "axis")?;
-        check_keys(
-            fields,
-            &["axis", "values", "grid", "log2", "layers"],
-            "axis",
-        )?;
-        let name = as_str(
-            field(fields, "axis")
-                .ok_or_else(|| WireError::bad_request("axis entry is missing \"axis\""))?,
-            "axis.axis",
-        )?;
+    fn read(j: &Json, at: Path<'_>) -> Result<AxisSpec, WireError> {
+        let o = Obj::open(j, at, &["axis", "values", "grid", "log2", "layers"])?;
+        let name = o.str("axis")?;
         if name == "schedule_mask" {
-            check_keys(fields, &["axis", "layers"], "schedule_mask axis")?;
-            let layers = as_u32(
-                field(fields, "layers")
-                    .ok_or_else(|| WireError::bad_request("schedule_mask axis needs \"layers\""))?,
-                "axis.layers",
-            )?;
+            o.only(&["axis", "layers"])?;
+            let layers = o.req("layers")?;
             if !(1..=48).contains(&layers) {
                 return Err(WireError::bad_request(
                     "schedule_mask layers must be in 1..=48",
@@ -741,119 +637,63 @@ impl AxisSpec {
             }
             return Ok(AxisSpec::ScheduleMask(layers));
         }
-        if field(fields, "layers").is_some() {
-            return Err(WireError::bad_request(format!(
-                "\"layers\" is only defined for the \"schedule_mask\" axis, not {name:?}"
-            )));
+        let misplaced = |what: &str, owner: &str| {
+            Err(WireError::bad_request(format!(
+                "\"{what}\" is only defined for the {owner} axis, not {name:?}"
+            )))
+        };
+        if o.raw("layers").is_some() {
+            return misplaced("layers", "\"schedule_mask\"");
         }
-        let values = field(fields, "values");
-        let grid = field(fields, "grid");
-        let log2 = field(fields, "log2");
-        if values.iter().count() + grid.iter().count() + log2.iter().count() != 1 {
-            return Err(WireError::bad_request(format!(
-                "axis {name:?} must have exactly one of \"values\", \"grid\", or \"log2\""
-            )));
-        }
-        let spec = if let Some(g) = grid {
-            if name != "w" {
-                return Err(WireError::bad_request(format!(
-                    "\"grid\" sugar is only defined for the \"w\" axis, not {name:?}"
-                )));
-            }
-            let arr = triple_u32(g, "axis.grid")?;
-            if arr[2] == 0 || arr[0] > arr[1] {
-                return Err(WireError::bad_request(
-                    "axis.grid must be [lo, hi, step] with lo <= hi and step >= 1",
-                ));
-            }
-            AxisSpec::W(grid_u32(arr[0], arr[1], arr[2]))
-        } else if let Some(l) = log2 {
-            let arr = pair_usize(l, "axis.log2")?;
-            if !arr[0].is_power_of_two() || !arr[1].is_power_of_two() || arr[0] > arr[1] {
-                return Err(WireError::bad_request(
-                    "axis.log2 must be [lo, hi], powers of two with lo <= hi",
-                ));
-            }
-            let values = mpipu_explore::log2_range(arr[0], arr[1]);
-            match name {
-                "cluster" => AxisSpec::Cluster(values),
-                "n_tiles" => AxisSpec::NTiles(values),
-                other => {
-                    return Err(WireError::bad_request(format!(
-                        "\"log2\" sugar is only defined for \"cluster\"/\"n_tiles\", not {other:?}"
-                    )))
+        let spec = match (o.raw("values"), o.raw("grid"), o.raw("log2")) {
+            (Some(values), None, None) => AxisSpec::read_values(name, values, at.key("values"))?,
+            (None, Some(_), None) => {
+                if name != "w" {
+                    return misplaced("grid", "\"w\"");
                 }
-            }
-        } else {
-            let arr = values
-                .and_then(Json::as_arr)
-                .ok_or_else(|| WireError::bad_request("axis.values must be an array"))?;
-            let u32s = |what| -> Result<Vec<u32>, WireError> {
-                arr.iter().map(|v| as_u32(v, what)).collect()
-            };
-            let usizes = |what| -> Result<Vec<usize>, WireError> {
-                arr.iter().map(|v| as_usize(v, what)).collect()
-            };
-            match name {
-                "w" => AxisSpec::W(u32s("axis w values")?),
-                "software_precision" => {
-                    AxisSpec::SoftwarePrecision(u32s("axis software_precision values")?)
-                }
-                "cluster" => AxisSpec::Cluster(usizes("axis cluster values")?),
-                "buffer_depth" => AxisSpec::BufferDepth(usizes("axis buffer_depth values")?),
-                "n_tiles" => AxisSpec::NTiles(usizes("axis n_tiles values")?),
-                "tile" => AxisSpec::Tile(
-                    arr.iter()
-                        .map(|v| TileSel::parse(as_str(v, "axis tile value")?))
-                        .collect::<Result<_, _>>()?,
-                ),
-                "workload" => AxisSpec::Workload(
-                    arr.iter()
-                        .map(WorkloadSpec::parse)
-                        .collect::<Result<_, _>>()?,
-                ),
-                "pass" => AxisSpec::Pass(
-                    arr.iter()
-                        .map(|v| PassSel::parse(as_str(v, "axis pass value")?))
-                        .collect::<Result<_, _>>()?,
-                ),
-                "dists" => {
-                    AxisSpec::Dists(arr.iter().map(parse_dist_pair).collect::<Result<_, _>>()?)
-                }
-                "schedule" => {
+                let [lo, hi, step] = o.req("grid")?;
+                if step == 0 || lo > hi {
                     return Err(WireError::bad_request(
-                        "the schedule axis is not part of wire v1 (use the library directly)",
-                    ))
+                        "axis.grid must be [lo, hi, step] with lo <= hi and step >= 1",
+                    ));
                 }
-                other => return Err(WireError::bad_request(format!("unknown axis {other:?}"))),
+                AxisSpec::W(grid_u32(lo, hi, step))
+            }
+            (None, None, Some(_)) => {
+                let [lo, hi]: [usize; 2] = o.req("log2")?;
+                if !lo.is_power_of_two() || !hi.is_power_of_two() || lo > hi {
+                    return Err(WireError::bad_request(
+                        "axis.log2 must be [lo, hi], powers of two with lo <= hi",
+                    ));
+                }
+                match name {
+                    "cluster" => AxisSpec::Cluster(log2_range(lo, hi)),
+                    "n_tiles" => AxisSpec::NTiles(log2_range(lo, hi)),
+                    _ => return misplaced("log2", "\"cluster\"/\"n_tiles\""),
+                }
+            }
+            _ => {
+                return Err(WireError::bad_request(format!(
+                    "axis {name:?} must have exactly one of \"values\", \"grid\", or \"log2\""
+                )))
             }
         };
         if spec.is_empty() {
             return Err(WireError::bad_request(format!(
-                "axis {:?} has no values",
-                spec.name()
+                "axis {name:?} has no values"
             )));
         }
         Ok(spec)
     }
+}
 
-    /// Build the exploration axis.
-    pub fn to_axis(&self) -> Axis {
-        match self {
-            AxisSpec::W(v) => Axis::w(v.clone()),
-            AxisSpec::SoftwarePrecision(v) => Axis::software_precision(v.clone()),
-            AxisSpec::Cluster(v) => Axis::cluster(v.clone()),
-            AxisSpec::BufferDepth(v) => Axis::buffer_depth(v.clone()),
-            AxisSpec::NTiles(v) => Axis::n_tiles(v.clone()),
-            AxisSpec::Tile(v) => Axis::tile(v.iter().map(|t| t.to_choice()).collect()),
-            AxisSpec::Workload(v) => Axis::workload(v.iter().map(|w| w.to_sel()).collect()),
-            AxisSpec::Pass(v) => Axis::pass(v.iter().map(|p| p.to_pass()).collect()),
-            AxisSpec::Dists(v) => {
-                Axis::distributions(v.iter().map(|(a, w)| (a.to_dist(), w.to_dist())).collect())
-            }
-            AxisSpec::ScheduleMask(layers) => Axis::schedule_mask(*layers),
-        }
-    }
+/// Resolve a declared space: the base scenario refined by each axis in
+/// order (shared by the sweep and search requests).
+fn space_of(base: &ScenarioSpec, axes: &[AxisSpec]) -> ParamSpace {
+    axes.iter()
+        .fold(ParamSpace::new(base.to_scenario()), |space, axis| {
+            space.axis(axis.to_axis())
+        })
 }
 
 /// Random subsampling of the declared space, wire form
@@ -867,6 +707,23 @@ pub struct SampleSpec {
     pub seed: u64,
 }
 
+impl Wire for SampleSpec {
+    fn write(&self) -> Json {
+        Fields::default()
+            .put("count", &self.count)
+            .put("seed", &self.seed)
+            .into()
+    }
+
+    fn read(j: &Json, at: Path<'_>) -> Result<SampleSpec, WireError> {
+        let o = Obj::open(j, at, &["count", "seed"])?;
+        Ok(SampleSpec {
+            count: o.nonzero("count")?.ok_or_else(|| o.missing("count"))?,
+            seed: o.or("seed", || 0)?,
+        })
+    }
+}
+
 /// Top-k selection riding along the Pareto fold, wire form
 /// `{"objective": <name>, "k": N}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -875,6 +732,25 @@ pub struct TopKSpec {
     pub objective: String,
     /// Selection size.
     pub k: usize,
+}
+
+impl Wire for TopKSpec {
+    fn write(&self) -> Json {
+        Fields::default()
+            .put("objective", &self.objective)
+            .put("k", &self.k)
+            .into()
+    }
+
+    fn read(j: &Json, at: Path<'_>) -> Result<TopKSpec, WireError> {
+        let o = Obj::open(j, at, &["objective", "k"])?;
+        let objective_name: String = o.req("objective")?;
+        objective(&objective_name)?;
+        Ok(TopKSpec {
+            objective: objective_name,
+            k: o.nonzero("k")?.ok_or_else(|| o.missing("k"))?,
+        })
+    }
 }
 
 /// The `eval` request: price one scenario.
@@ -921,7 +797,7 @@ impl Default for SweepReq {
         SweepReq {
             base: ScenarioSpec::default(),
             axes: Vec::new(),
-            objectives: DEFAULT_OBJECTIVES.iter().map(|s| s.to_string()).collect(),
+            objectives: default_objectives(),
             top_k: None,
             sample: None,
             max_points: None,
@@ -940,11 +816,7 @@ impl SweepReq {
     /// Panics on an empty axis — unreachable for parsed requests (the
     /// parser rejects them).
     pub fn to_space(&self) -> ParamSpace {
-        let mut space = ParamSpace::new(self.base.to_scenario());
-        for axis in &self.axes {
-            space = space.axis(axis.to_axis());
-        }
-        space
+        space_of(&self.base, &self.axes)
     }
 
     /// Points the request will evaluate (sample count, or the full
@@ -960,25 +832,17 @@ impl SweepReq {
     pub fn resolve_objectives(&self) -> Result<Vec<Objective>, WireError> {
         resolve_objective_names(&self.objectives)
     }
-}
 
-/// Resolve a list of objective names against the catalog (shared by the
-/// sweep and search requests).
-fn resolve_objective_names(names: &[String]) -> Result<Vec<Objective>, WireError> {
-    if names.is_empty() {
-        return Err(WireError::bad_request("objectives must not be empty"));
+    /// The request's folds: the Pareto fold over its objectives and the
+    /// optional top-k selection (shared by the served, reference, and
+    /// sharded sweeps).
+    pub fn folds(&self) -> Result<(ParetoFold, Option<TopK>), WireError> {
+        let top = match &self.top_k {
+            Some(t) => Some(TopK::new(objective(&t.objective)?, t.k)),
+            None => None,
+        };
+        Ok((ParetoFold::new(self.resolve_objectives()?), top))
     }
-    names
-        .iter()
-        .map(|name| {
-            objective_by_name(name).ok_or_else(|| {
-                WireError::bad_request(format!(
-                    "unknown objective {name:?} (catalog: {})",
-                    OBJECTIVE_NAMES.join(", ")
-                ))
-            })
-        })
-        .collect()
 }
 
 /// The `search` request: guided (successive-halving + surrogate) search
@@ -1020,7 +884,7 @@ impl Default for SearchReq {
         SearchReq {
             base: ScenarioSpec::default(),
             axes: Vec::new(),
-            objectives: DEFAULT_OBJECTIVES.iter().map(|s| s.to_string()).collect(),
+            objectives: default_objectives(),
             initial: None,
             rungs: None,
             keep: None,
@@ -1036,11 +900,7 @@ impl Default for SearchReq {
 impl SearchReq {
     /// Resolve the declared space (base scenario + axes in order).
     pub fn to_space(&self) -> ParamSpace {
-        let mut space = ParamSpace::new(self.base.to_scenario());
-        for axis in &self.axes {
-            space = space.axis(axis.to_axis());
-        }
-        space
+        space_of(&self.base, &self.axes)
     }
 
     /// Points in the declared space (the search touches far fewer).
@@ -1076,127 +936,64 @@ impl Request {
         let j = Json::parse(line.trim()).map_err(|e| {
             WireError::parse(format!("invalid JSON at byte {}: {}", e.offset, e.message))
         })?;
-        let fields = as_obj(&j, "request")?;
-        let kind = as_str(
-            field(fields, "req").ok_or_else(|| WireError::parse("request is missing \"req\""))?,
-            "req",
-        )?;
-        match kind {
+        let o = Obj::any(&j, Path::Root)?;
+        let kind = o
+            .raw("req")
+            .ok_or_else(|| WireError::parse("request is missing \"req\""))?;
+        Ok(match str_at(kind, Path::Root.key("req"))? {
             "list" => {
-                check_keys(fields, &["req"], "list request")?;
-                Ok(Request::List)
+                o.only(&[])?;
+                Request::List
             }
             "stats" => {
-                check_keys(fields, &["req"], "stats request")?;
-                Ok(Request::Stats)
+                o.only(&[])?;
+                Request::Stats
             }
             "eval" => {
-                check_keys(fields, &["req", "scenario", "tag"], "eval request")?;
-                Ok(Request::Eval(EvalReq {
-                    scenario: field(fields, "scenario")
-                        .map(ScenarioSpec::parse)
-                        .transpose()?
-                        .unwrap_or_default(),
-                    tag: field(fields, "tag")
-                        .map(|v| as_str(v, "tag").map(str::to_string))
-                        .transpose()?,
-                }))
+                o.only(&["scenario", "tag"])?;
+                Request::Eval(EvalReq {
+                    scenario: o.or("scenario", ScenarioSpec::default)?,
+                    tag: o.opt("tag")?,
+                })
             }
-            "sweep" => parse_sweep(fields).map(Request::Sweep),
-            "search" => parse_search(fields).map(Request::Search),
-            other => Err(WireError::parse(format!(
-                "unknown request kind {other:?} (expected list, stats, eval, sweep, or search)"
-            ))),
-        }
+            "sweep" => Request::Sweep(read_sweep(&o)?),
+            "search" => Request::Search(read_search(&o)?),
+            other => {
+                return Err(WireError::parse(format!(
+                    "unknown request kind {other:?} (expected list, stats, eval, sweep, or search)"
+                )))
+            }
+        })
     }
 
     /// The canonical wire object ([`Request::parse`] inverts this).
     pub fn to_json(&self) -> Json {
         match self {
-            Request::List => Json::obj([("req", Json::str("list"))]),
-            Request::Stats => Json::obj([("req", Json::str("stats"))]),
-            Request::Eval(e) => {
-                let mut fields = vec![
-                    ("req".to_string(), Json::str("eval")),
-                    ("scenario".to_string(), e.scenario.to_json()),
-                ];
-                if let Some(tag) = &e.tag {
-                    fields.push(("tag".to_string(), Json::str(tag)));
-                }
-                Json::Obj(fields)
-            }
-            Request::Sweep(s) => {
-                let mut fields = vec![
-                    ("req".to_string(), Json::str("sweep")),
-                    ("base".to_string(), s.base.to_json()),
-                    (
-                        "axes".to_string(),
-                        Json::Arr(s.axes.iter().map(AxisSpec::to_json).collect()),
-                    ),
-                    (
-                        "objectives".to_string(),
-                        Json::Arr(s.objectives.iter().map(Json::str).collect()),
-                    ),
-                ];
-                if let Some(t) = &s.top_k {
-                    fields.push((
-                        "top_k".to_string(),
-                        Json::obj([
-                            ("objective", Json::str(&t.objective)),
-                            ("k", Json::from(t.k)),
-                        ]),
-                    ));
-                }
-                if let Some(sm) = &s.sample {
-                    fields.push((
-                        "sample".to_string(),
-                        Json::obj([
-                            ("count", Json::from(sm.count)),
-                            ("seed", Json::from(sm.seed)),
-                        ]),
-                    ));
-                }
-                let mut push = |key: &str, value: Option<Json>| {
-                    if let Some(v) = value {
-                        fields.push((key.to_string(), v));
-                    }
-                };
-                push("max_points", s.max_points.map(Json::from));
-                push("max_ms", s.max_ms.map(Json::from));
-                push("chunk", s.chunk.map(Json::from));
-                push("progress_every", s.progress_every.map(Json::from));
-                push("tag", s.tag.as_ref().map(Json::str));
-                Json::Obj(fields)
-            }
-            Request::Search(s) => {
-                let mut fields = vec![
-                    ("req".to_string(), Json::str("search")),
-                    ("base".to_string(), s.base.to_json()),
-                    (
-                        "axes".to_string(),
-                        Json::Arr(s.axes.iter().map(AxisSpec::to_json).collect()),
-                    ),
-                    (
-                        "objectives".to_string(),
-                        Json::Arr(s.objectives.iter().map(Json::str).collect()),
-                    ),
-                ];
-                let mut push = |key: &str, value: Option<Json>| {
-                    if let Some(v) = value {
-                        fields.push((key.to_string(), v));
-                    }
-                };
-                push("initial", s.initial.map(Json::from));
-                push("rungs", s.rungs.map(Json::from));
-                push("keep", s.keep.map(Json::from));
-                push("max_evals", s.max_evals.map(Json::from));
-                push("seed", s.seed.map(Json::from));
-                push("max_ms", s.max_ms.map(Json::from));
-                push("chunk", s.chunk.map(Json::from));
-                push("tag", s.tag.as_ref().map(Json::str));
-                Json::Obj(fields)
-            }
+            Request::List => Fields::default().put("req", "list"),
+            Request::Stats => Fields::default().put("req", "stats"),
+            Request::Eval(e) => Fields::default()
+                .put("req", "eval")
+                .put("scenario", &e.scenario)
+                .opt("tag", &e.tag),
+            Request::Sweep(s) => space_fields("sweep", &s.base, &s.axes, &s.objectives)
+                .opt("top_k", &s.top_k)
+                .opt("sample", &s.sample)
+                .opt("max_points", &s.max_points)
+                .opt("max_ms", &s.max_ms)
+                .opt("chunk", &s.chunk)
+                .opt("progress_every", &s.progress_every)
+                .opt("tag", &s.tag),
+            Request::Search(s) => space_fields("search", &s.base, &s.axes, &s.objectives)
+                .opt("initial", &s.initial)
+                .opt("rungs", &s.rungs)
+                .opt("keep", &s.keep)
+                .opt("max_evals", &s.max_evals)
+                .opt("seed", &s.seed)
+                .opt("max_ms", &s.max_ms)
+                .opt("chunk", &s.chunk)
+                .opt("tag", &s.tag),
         }
+        .into()
     }
 
     /// The canonical wire line (compact, no trailing newline).
@@ -1205,307 +1002,99 @@ impl Request {
     }
 }
 
-fn parse_sweep(fields: &[(String, Json)]) -> Result<SweepReq, WireError> {
-    check_keys(
-        fields,
-        &[
-            "req",
-            "base",
-            "axes",
-            "objectives",
-            "top_k",
-            "sample",
-            "max_points",
-            "max_ms",
-            "chunk",
-            "progress_every",
-            "tag",
-        ],
-        "sweep request",
-    )?;
-    let axes = match field(fields, "axes") {
-        Some(v) => v
-            .as_arr()
-            .ok_or_else(|| WireError::bad_request("axes must be an array"))?
-            .iter()
-            .map(AxisSpec::parse)
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
-    let objectives = match field(fields, "objectives") {
-        Some(v) => {
-            let names: Vec<String> = v
-                .as_arr()
-                .ok_or_else(|| WireError::bad_request("objectives must be an array"))?
-                .iter()
-                .map(|n| as_str(n, "objective name").map(str::to_string))
-                .collect::<Result<_, _>>()?;
-            if names.is_empty() {
-                return Err(WireError::bad_request("objectives must not be empty"));
-            }
-            for name in &names {
-                if objective_by_name(name).is_none() {
-                    return Err(WireError::bad_request(format!(
-                        "unknown objective {name:?} (catalog: {})",
-                        OBJECTIVE_NAMES.join(", ")
-                    )));
-                }
-            }
-            names
-        }
-        None => DEFAULT_OBJECTIVES.iter().map(|s| s.to_string()).collect(),
-    };
-    let top_k = field(fields, "top_k")
-        .map(|v| -> Result<TopKSpec, WireError> {
-            let f = as_obj(v, "top_k")?;
-            check_keys(f, &["objective", "k"], "top_k")?;
-            let objective = as_str(
-                field(f, "objective")
-                    .ok_or_else(|| WireError::bad_request("top_k is missing \"objective\""))?,
-                "top_k.objective",
-            )?
-            .to_string();
-            if objective_by_name(&objective).is_none() {
-                return Err(WireError::bad_request(format!(
-                    "unknown top_k objective {objective:?}"
-                )));
-            }
-            let k = as_usize(
-                field(f, "k").ok_or_else(|| WireError::bad_request("top_k is missing \"k\""))?,
-                "top_k.k",
-            )?;
-            if k == 0 {
-                return Err(WireError::bad_request("top_k.k must be >= 1"));
-            }
-            Ok(TopKSpec { objective, k })
-        })
-        .transpose()?;
-    let sample = field(fields, "sample")
-        .map(|v| -> Result<SampleSpec, WireError> {
-            let f = as_obj(v, "sample")?;
-            check_keys(f, &["count", "seed"], "sample")?;
-            let count = as_usize(
-                field(f, "count")
-                    .ok_or_else(|| WireError::bad_request("sample is missing \"count\""))?,
-                "sample.count",
-            )?;
-            if count == 0 {
-                return Err(WireError::bad_request("sample.count must be >= 1"));
-            }
-            Ok(SampleSpec {
-                count,
-                seed: field(f, "seed")
-                    .map(|s| as_u64(s, "sample.seed"))
-                    .transpose()?
-                    .unwrap_or(0),
-            })
-        })
-        .transpose()?;
+/// The fields a sweep and a search open with: the kind, then the
+/// declared space and its objectives.
+fn space_fields(
+    kind: &str,
+    base: &ScenarioSpec,
+    axes: &[AxisSpec],
+    objectives: &[String],
+) -> Fields {
+    Fields::default()
+        .put("req", kind)
+        .put("base", base)
+        .put("axes", axes)
+        .put("objectives", objectives)
+}
+
+/// Read the axes and objectives a sweep and a search share. The base
+/// scenario comes later, after each kind's own knobs: the reading order
+/// decides which error a line with several is refused for.
+fn read_axes_and_objectives(o: &Obj<'_>) -> Result<(Vec<AxisSpec>, Vec<String>), WireError> {
+    let axes = o.or("axes", Vec::new)?;
+    let objectives = o.or("objectives", default_objectives)?;
+    resolve_objective_names(&objectives)?;
+    Ok((axes, objectives))
+}
+
+fn read_sweep(o: &Obj<'_>) -> Result<SweepReq, WireError> {
+    o.only(&[
+        "base",
+        "axes",
+        "objectives",
+        "top_k",
+        "sample",
+        "max_points",
+        "max_ms",
+        "chunk",
+        "progress_every",
+        "tag",
+    ])?;
+    let (axes, objectives) = read_axes_and_objectives(o)?;
     Ok(SweepReq {
-        base: field(fields, "base")
-            .map(ScenarioSpec::parse)
-            .transpose()?
-            .unwrap_or_default(),
         axes,
         objectives,
-        top_k,
-        sample,
-        max_points: field(fields, "max_points")
-            .map(|v| as_u64(v, "max_points"))
-            .transpose()?,
-        max_ms: field(fields, "max_ms")
-            .map(|v| as_u64(v, "max_ms"))
-            .transpose()?,
-        chunk: field(fields, "chunk")
-            .map(|v| as_usize(v, "chunk"))
-            .transpose()?,
-        progress_every: field(fields, "progress_every")
-            .map(|v| as_u64(v, "progress_every"))
-            .transpose()?,
-        tag: field(fields, "tag")
-            .map(|v| as_str(v, "tag").map(str::to_string))
-            .transpose()?,
+        top_k: o.opt("top_k")?,
+        sample: o.opt("sample")?,
+        base: o.or("base", ScenarioSpec::default)?,
+        max_points: o.opt("max_points")?,
+        max_ms: o.opt("max_ms")?,
+        chunk: o.opt("chunk")?,
+        progress_every: o.opt("progress_every")?,
+        tag: o.opt("tag")?,
     })
 }
 
-fn parse_search(fields: &[(String, Json)]) -> Result<SearchReq, WireError> {
-    check_keys(
-        fields,
-        &[
-            "req",
-            "base",
-            "axes",
-            "objectives",
-            "initial",
-            "rungs",
-            "keep",
-            "max_evals",
-            "seed",
-            "max_ms",
-            "chunk",
-            "tag",
-        ],
-        "search request",
-    )?;
-    let axes = match field(fields, "axes") {
-        Some(v) => v
-            .as_arr()
-            .ok_or_else(|| WireError::bad_request("axes must be an array"))?
-            .iter()
-            .map(AxisSpec::parse)
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
+fn read_search(o: &Obj<'_>) -> Result<SearchReq, WireError> {
+    o.only(&[
+        "base",
+        "axes",
+        "objectives",
+        "initial",
+        "rungs",
+        "keep",
+        "max_evals",
+        "seed",
+        "max_ms",
+        "chunk",
+        "tag",
+    ])?;
+    let (axes, objectives) = read_axes_and_objectives(o)?;
     if axes.is_empty() {
         return Err(WireError::bad_request(
             "search requires at least one axis (a zero-dimensional space has nothing to search)",
         ));
     }
-    let objectives = match field(fields, "objectives") {
-        Some(v) => {
-            let names: Vec<String> = v
-                .as_arr()
-                .ok_or_else(|| WireError::bad_request("objectives must be an array"))?
-                .iter()
-                .map(|n| as_str(n, "objective name").map(str::to_string))
-                .collect::<Result<_, _>>()?;
-            resolve_objective_names(&names)?;
-            names
-        }
-        None => DEFAULT_OBJECTIVES.iter().map(|s| s.to_string()).collect(),
-    };
-    let initial = field(fields, "initial")
-        .map(|v| as_usize(v, "initial"))
-        .transpose()?;
-    if initial == Some(0) {
-        return Err(WireError::bad_request("initial must be >= 1"));
-    }
-    let rungs = field(fields, "rungs")
-        .map(|v| as_usize(v, "rungs"))
-        .transpose()?;
-    if rungs == Some(0) {
-        return Err(WireError::bad_request("rungs must be >= 1"));
-    }
-    let keep = field(fields, "keep")
-        .map(|v| {
-            let k = v
-                .as_f64()
-                .ok_or_else(|| WireError::bad_request("keep must be a number"))?;
-            if !(k > 0.0 && k <= 1.0) {
-                return Err(WireError::bad_request("keep must be in (0, 1]"));
-            }
-            Ok(k)
-        })
-        .transpose()?;
-    let max_evals = field(fields, "max_evals")
-        .map(|v| as_u64(v, "max_evals"))
-        .transpose()?;
-    if max_evals == Some(0) {
-        return Err(WireError::bad_request("max_evals must be >= 1"));
+    let initial = o.nonzero("initial")?;
+    let rungs = o.nonzero("rungs")?;
+    let keep = o.opt("keep")?;
+    if keep.is_some_and(|k: f64| !(k > 0.0 && k <= 1.0)) {
+        return Err(WireError::bad_request("keep must be in (0, 1]"));
     }
     Ok(SearchReq {
-        base: field(fields, "base")
-            .map(ScenarioSpec::parse)
-            .transpose()?
-            .unwrap_or_default(),
         axes,
         objectives,
         initial,
         rungs,
         keep,
-        max_evals,
-        seed: field(fields, "seed")
-            .map(|v| as_u64(v, "seed"))
-            .transpose()?,
-        max_ms: field(fields, "max_ms")
-            .map(|v| as_u64(v, "max_ms"))
-            .transpose()?,
-        chunk: field(fields, "chunk")
-            .map(|v| as_usize(v, "chunk"))
-            .transpose()?,
-        tag: field(fields, "tag")
-            .map(|v| as_str(v, "tag").map(str::to_string))
-            .transpose()?,
+        max_evals: o.nonzero("max_evals")?,
+        base: o.or("base", ScenarioSpec::default)?,
+        seed: o.opt("seed")?,
+        max_ms: o.opt("max_ms")?,
+        chunk: o.opt("chunk")?,
+        tag: o.opt("tag")?,
     })
 }
-
-// ---- strict-parse helpers -------------------------------------------------
-
-fn as_obj<'a>(j: &'a Json, what: &str) -> Result<&'a [(String, Json)], WireError> {
-    match j {
-        Json::Obj(fields) => Ok(fields),
-        _ => Err(WireError::parse(format!("{what} must be a JSON object"))),
-    }
-}
-
-fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn check_keys(fields: &[(String, Json)], allowed: &[&str], what: &str) -> Result<(), WireError> {
-    for (k, _) in fields {
-        if !allowed.contains(&k.as_str()) {
-            return Err(WireError::bad_request(format!(
-                "unknown field {k:?} in {what} (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn as_str<'a>(j: &'a Json, what: &str) -> Result<&'a str, WireError> {
-    j.as_str()
-        .ok_or_else(|| WireError::bad_request(format!("{what} must be a string")))
-}
-
-fn as_u64(j: &Json, what: &str) -> Result<u64, WireError> {
-    match j {
-        Json::UInt(u) => Ok(*u),
-        _ => Err(WireError::bad_request(format!(
-            "{what} must be a non-negative integer"
-        ))),
-    }
-}
-
-fn as_usize(j: &Json, what: &str) -> Result<usize, WireError> {
-    usize::try_from(as_u64(j, what)?)
-        .map_err(|_| WireError::bad_request(format!("{what} is out of range")))
-}
-
-fn as_u32(j: &Json, what: &str) -> Result<u32, WireError> {
-    u32::try_from(as_u64(j, what)?)
-        .map_err(|_| WireError::bad_request(format!("{what} is out of range")))
-}
-
-fn triple_u32(j: &Json, what: &str) -> Result<[u32; 3], WireError> {
-    let arr = j
-        .as_arr()
-        .ok_or_else(|| WireError::bad_request(format!("{what} must be a 3-element array")))?;
-    if arr.len() != 3 {
-        return Err(WireError::bad_request(format!(
-            "{what} must have exactly 3 elements"
-        )));
-    }
-    Ok([
-        as_u32(&arr[0], what)?,
-        as_u32(&arr[1], what)?,
-        as_u32(&arr[2], what)?,
-    ])
-}
-
-fn pair_usize(j: &Json, what: &str) -> Result<[usize; 2], WireError> {
-    let arr = j
-        .as_arr()
-        .ok_or_else(|| WireError::bad_request(format!("{what} must be a 2-element array")))?;
-    if arr.len() != 2 {
-        return Err(WireError::bad_request(format!(
-            "{what} must have exactly 2 elements"
-        )));
-    }
-    Ok([as_usize(&arr[0], what)?, as_usize(&arr[1], what)?])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1699,9 +1288,10 @@ mod tests {
 
     #[test]
     fn objective_catalog_is_total() {
-        for name in OBJECTIVE_NAMES {
-            assert!(objective_by_name(name).is_some(), "{name}");
-        }
-        assert!(objective_by_name("nope").is_none());
+        let names: Vec<String> = objectives::ALL.iter().map(|o| o.name.to_string()).collect();
+        let resolved = resolve_objective_names(&names).unwrap();
+        assert!(resolved.iter().zip(&names).all(|(o, n)| o.name == n));
+        assert!(resolve_objective_names(&default_objectives()).is_ok());
+        assert!(objective("nope").is_err());
     }
 }

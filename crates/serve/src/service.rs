@@ -40,20 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Every sweepable wire axis name, in catalog order.
-pub const AXIS_NAMES: [&str; 10] = [
-    "w",
-    "software_precision",
-    "cluster",
-    "buffer_depth",
-    "n_tiles",
-    "tile",
-    "workload",
-    "pass",
-    "dists",
-    "schedule_mask",
-];
-
 /// Server-side resource limits (per-request budgets are min-combined
 /// with the client's own).
 #[derive(Debug, Clone, Copy)]
@@ -336,12 +322,7 @@ impl Service {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let outcome = match req {
             Request::List => {
-                let names: Vec<&str> = AXIS_NAMES.to_vec();
-                emit(&wire::catalog_json(
-                    &self.catalog,
-                    &names,
-                    self.backend.name(),
-                ));
+                emit(&wire::catalog_json(&self.catalog, self.backend.name()));
                 Ok(())
             }
             Request::Stats => {
@@ -380,10 +361,7 @@ impl Service {
             .pop()
             .ok_or_else(|| WireError::internal("empty parameter space"))?;
         self.emit_cache_delta(start.as_ref(), emit);
-        emit(&wire::eval_result_json(
-            req.tag.as_deref(),
-            &eval_outcome(&eval),
-        ));
+        emit(&wire::eval_result_json(req.tag.as_deref(), &eval));
         Ok(())
     }
 
@@ -393,16 +371,7 @@ impl Service {
         cancel: &CancelToken,
         emit: &(dyn Fn(&Json) + Sync),
     ) -> Result<(), WireError> {
-        let objectives = req.resolve_objectives()?;
-        let top_k = req
-            .top_k
-            .as_ref()
-            .map(|t| -> Result<TopK, WireError> {
-                let obj = crate::request::objective_by_name(&t.objective)
-                    .ok_or_else(|| WireError::bad_request("unknown top_k objective"))?;
-                Ok(TopK::new(obj, t.k))
-            })
-            .transpose()?;
+        let folds = req.folds()?;
         let points = req.points();
         let budget = self
             .limits
@@ -457,8 +426,7 @@ impl Service {
             .cancel_token(token.clone())
             .governor(ticket);
         let fold = StreamingFold {
-            pareto: ParetoFold::new(objectives),
-            top: top_k,
+            folds,
             every: req
                 .progress_every
                 .unwrap_or(self.limits.default_progress_every),
@@ -594,26 +562,10 @@ pub(crate) fn checked_space(space: ParamSpace) -> Result<ParamSpace, WireError> 
     Ok(space)
 }
 
-fn eval_outcome(eval: &PointEval) -> wire::EvalOutcome {
-    wire::EvalOutcome {
-        cycles: eval.cycles,
-        baseline_cycles: eval.baseline_cycles,
-        normalized: eval.normalized,
-        fp_fraction: eval.fp_fraction,
-        metrics: (
-            eval.metrics.int_tops_per_mm2,
-            eval.metrics.int_tops_per_w,
-            eval.metrics.fp_tflops_per_mm2,
-            eval.metrics.fp_tflops_per_w,
-        ),
-    }
-}
-
-/// Pareto + optional top-k fold that emits incremental `pareto_update`
-/// lines every `every` accepted points (0 disables).
+/// A sweep request's folds ([`SweepReq::folds`]), emitting incremental
+/// `pareto_update` lines every `every` accepted points (0 disables).
 struct StreamingFold<'a> {
-    pareto: ParetoFold,
-    top: Option<TopK>,
+    folds: (ParetoFold, Option<TopK>),
     every: u64,
     emit: &'a (dyn Fn(&Json) + Sync),
 }
@@ -622,20 +574,15 @@ impl Fold for StreamingFold<'_> {
     type Output = (Vec<FrontierPoint>, Option<Vec<FrontierPoint>>);
 
     fn accept(&mut self, eval: &PointEval) {
-        self.pareto.accept(eval);
-        if let Some(top) = &mut self.top {
-            top.accept(eval);
-        }
-        if self.every > 0 && self.pareto.seen().is_multiple_of(self.every) {
-            (self.emit)(&wire::pareto_update_json(
-                self.pareto.seen(),
-                self.pareto.front_len(),
-            ));
+        self.folds.accept(eval);
+        let pareto = &self.folds.0;
+        if self.every > 0 && pareto.seen().is_multiple_of(self.every) {
+            (self.emit)(&wire::pareto_update_json(pareto.seen(), pareto.front_len()));
         }
     }
 
     fn finish(self) -> Self::Output {
-        (self.pareto.finish(), self.top.map(TopK::finish))
+        self.folds.finish()
     }
 }
 
@@ -645,29 +592,13 @@ impl Fold for StreamingFold<'_> {
 /// the server would emit. The e2e tests and `sweepctl verify` compare
 /// this — compact-serialized — against the served line, byte for byte.
 pub fn reference_sweep_result(req: &SweepReq, threads: usize) -> Result<Json, WireError> {
-    let objectives = req.resolve_objectives()?;
-    let top_k = req
-        .top_k
-        .as_ref()
-        .map(|t| {
-            crate::request::objective_by_name(&t.objective)
-                .map(|obj| TopK::new(obj, t.k))
-                .ok_or_else(|| WireError::bad_request("unknown top_k objective"))
-        })
-        .transpose()?;
+    let fold = req.folds()?;
     let space = checked_space(req.to_space())?;
     let backend: Arc<dyn CostBackend> = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
     let engine = SweepEngine::new()
         .threads(threads.max(1))
         .chunk_size(req.chunk.unwrap_or(Limits::default().default_chunk))
         .backend(backend);
-    let noop: &(dyn Fn(&Json) + Sync) = &|_| {};
-    let fold = StreamingFold {
-        pareto: ParetoFold::new(objectives),
-        top: top_k,
-        every: 0,
-        emit: noop,
-    };
     let (front, top) = match &req.sample {
         Some(s) => engine.run_ids(
             &space,

@@ -40,8 +40,8 @@ use crate::service::Limits;
 use crate::wire;
 use mpipu_bench::json::Json;
 use mpipu_explore::{
-    partition_units, DesignId, FnSink, Fold, FrontierPoint, NullSweepSink, ParamSpace, ParetoFold,
-    PointEval, ShardMerge, SweepEngine, SweepEvent, TopK, UnitFold, UnitRange,
+    partition_units, DesignId, FnSink, FrontierPoint, NullSweepSink, ParamSpace, ShardMerge,
+    SweepEngine, SweepEvent, UnitFold, UnitRange,
 };
 use mpipu_sim::{AnalyticBatched, CostBackend, Memoized};
 use std::collections::{HashSet, VecDeque};
@@ -88,44 +88,6 @@ impl Default for ShardConfig {
             worker_cmds: None,
         }
     }
-}
-
-/// Pareto + optional top-k, no streaming — the worker-side unit fold.
-struct PairFold {
-    pareto: ParetoFold,
-    top: Option<TopK>,
-}
-
-impl Fold for PairFold {
-    type Output = (Vec<FrontierPoint>, Option<Vec<FrontierPoint>>);
-
-    fn accept(&mut self, eval: &PointEval) {
-        self.pareto.accept(eval);
-        if let Some(top) = &mut self.top {
-            top.accept(eval);
-        }
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.pareto.finish(), self.top.map(TopK::finish))
-    }
-}
-
-fn build_folds(req: &SweepReq) -> Result<PairFold, WireError> {
-    let objectives = req.resolve_objectives()?;
-    let top = req
-        .top_k
-        .as_ref()
-        .map(|t| {
-            crate::request::objective_by_name(&t.objective)
-                .map(|obj| TopK::new(obj, t.k))
-                .ok_or_else(|| WireError::bad_request("unknown top_k objective"))
-        })
-        .transpose()?;
-    Ok(PairFold {
-        pareto: ParetoFold::new(objectives),
-        top,
-    })
 }
 
 // ---- wire forms -----------------------------------------------------------
@@ -256,7 +218,7 @@ pub fn worker_main() -> i32 {
             cached = Some((sweep_line, req, space));
         }
         let (_, req, space) = cached.as_ref().expect("cached above");
-        let fold = match build_folds(req) {
+        let fold = match req.folds() {
             Ok(f) => f,
             Err(e) => {
                 fail(format!("worker cannot build folds: {e}"));
@@ -384,7 +346,7 @@ pub fn run_sharded(
             "sampled sweeps fold in draw order and cannot shard; run them in-process",
         ));
     }
-    let fold = build_folds(req)?;
+    let (pareto, top) = req.folds()?;
     let space = crate::service::checked_space(req.to_space())?;
     let total = space.len();
     let unit_points = cfg.unit_points.max(1);
@@ -398,7 +360,7 @@ pub fn run_sharded(
     };
 
     // Resume: replay completed units out of the journal.
-    let mut merge = ShardMerge::new(fold.pareto, fold.top);
+    let mut merge = ShardMerge::new(pareto, top);
     let mut done: HashSet<u64> = HashSet::new();
     if cfg.resume {
         let path = cfg
@@ -670,10 +632,10 @@ pub fn run_units_in_process(req: &SweepReq, unit_points: u64) -> Result<Json, Wi
         .threads(1)
         .chunk_size(req.chunk.unwrap_or(Limits::default().default_chunk))
         .backend(backend);
-    let folds = build_folds(req)?;
-    let mut merge = ShardMerge::new(folds.pareto, folds.top);
+    let (pareto, top) = req.folds()?;
+    let mut merge = ShardMerge::new(pareto, top);
     for unit in partition_units(space.len(), unit_points) {
-        let fold = build_folds(req)?;
+        let fold = req.folds()?;
         let (front, top) = engine.run_range(&space, unit.lo, unit.hi, fold, &NullSweepSink);
         merge.offer(unit.index, UnitFold { front, top });
     }

@@ -8,11 +8,11 @@
 //! adds the serve-only events: `catalog`, `stats`, `pareto_update`,
 //! `result` (kinds `eval` and `sweep`), `error`, and the terminal `done`.
 
-use crate::request::{WireError, OBJECTIVE_NAMES};
+use crate::request::{AxisSpec, WireError};
 use crate::service::{JournalInfo, MetricsSnapshot};
 use mpipu_bench::json::Json;
 use mpipu_bench::sweep_wire::SWEEP_WIRE_VERSION;
-use mpipu_explore::{FrontierPoint, SearchOutcome};
+use mpipu_explore::{objectives, FrontierPoint, PointEval, SearchOutcome};
 use mpipu_sim::CacheStats;
 
 /// `{"event":"error","code":...,"message":...}`.
@@ -38,8 +38,9 @@ pub fn pareto_update_json(seen: u64, frontier_size: usize) -> Json {
     ])
 }
 
-/// The `list` response: experiments, axes, objectives, backend name.
-pub fn catalog_json(experiments: &[(String, String)], axes: &[&str], backend: &str) -> Json {
+/// The `list` response: experiments, the wire's axes and objectives,
+/// backend name.
+pub fn catalog_json(experiments: &[(String, String)], backend: &str) -> Json {
     Json::obj([
         ("event", Json::str("catalog")),
         ("wire_version", Json::from(SWEEP_WIRE_VERSION)),
@@ -56,11 +57,11 @@ pub fn catalog_json(experiments: &[(String, String)], axes: &[&str], backend: &s
         ),
         (
             "axes",
-            Json::Arr(axes.iter().map(|a| Json::str(*a)).collect()),
+            Json::Arr(AxisSpec::NAMES.iter().map(|a| Json::str(*a)).collect()),
         ),
         (
             "objectives",
-            Json::Arr(OBJECTIVE_NAMES.iter().map(|o| Json::str(*o)).collect()),
+            Json::Arr(objectives::ALL.iter().map(|o| Json::str(o.name)).collect()),
         ),
         ("backend", Json::str(backend)),
     ])
@@ -114,24 +115,8 @@ pub fn stats_json(
     Json::Obj(fields)
 }
 
-/// A priced design point, ready for [`eval_result_json`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvalOutcome {
-    /// Mixed-precision cycles.
-    pub cycles: u64,
-    /// All-FP32 baseline cycles.
-    pub baseline_cycles: u64,
-    /// `cycles / baseline_cycles`.
-    pub normalized: f64,
-    /// Fraction of MACs escalated to FP32.
-    pub fp_fraction: f64,
-    /// `(int_tops_per_mm2, int_tops_per_w, fp_tflops_per_mm2,
-    /// fp_tflops_per_w)`.
-    pub metrics: (f64, f64, f64, f64),
-}
-
-/// The `eval` result line.
-pub fn eval_result_json(tag: Option<&str>, out: &EvalOutcome) -> Json {
+/// The `eval` result line of one priced design point.
+pub fn eval_result_json(tag: Option<&str>, eval: &PointEval) -> Json {
     let mut fields = vec![
         ("event".to_string(), Json::str("result")),
         ("kind".to_string(), Json::str("eval")),
@@ -139,22 +124,22 @@ pub fn eval_result_json(tag: Option<&str>, out: &EvalOutcome) -> Json {
     if let Some(tag) = tag {
         fields.push(("tag".to_string(), Json::str(tag)));
     }
-    let (mm2, w, fpmm2, fpw) = out.metrics;
+    let m = &eval.metrics;
     fields.extend([
-        ("cycles".to_string(), Json::from(out.cycles)),
+        ("cycles".to_string(), Json::from(eval.cycles)),
         (
             "baseline_cycles".to_string(),
-            Json::from(out.baseline_cycles),
+            Json::from(eval.baseline_cycles),
         ),
-        ("normalized".to_string(), Json::Num(out.normalized)),
-        ("fp_fraction".to_string(), Json::Num(out.fp_fraction)),
+        ("normalized".to_string(), Json::Num(eval.normalized)),
+        ("fp_fraction".to_string(), Json::Num(eval.fp_fraction)),
         (
             "metrics".to_string(),
             Json::obj([
-                ("int_tops_per_mm2", Json::Num(mm2)),
-                ("int_tops_per_w", Json::Num(w)),
-                ("fp_tflops_per_mm2", Json::Num(fpmm2)),
-                ("fp_tflops_per_w", Json::Num(fpw)),
+                ("int_tops_per_mm2", Json::Num(m.int_tops_per_mm2)),
+                ("int_tops_per_w", Json::Num(m.int_tops_per_w)),
+                ("fp_tflops_per_mm2", Json::Num(m.fp_tflops_per_mm2)),
+                ("fp_tflops_per_w", Json::Num(m.fp_tflops_per_w)),
             ]),
         ),
     ]);

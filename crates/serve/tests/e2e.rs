@@ -98,9 +98,11 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
         assert!(r.find("sweep_started").is_none(), "{line} started a sweep");
     }
 
-    // Tile geometry no design can be priced at is refused the same way:
-    // a cluster size that does not divide the 32-IPU small tile, a zero
-    // FIFO depth, zero tiles — in an eval's scenario or on a sweep axis.
+    // Geometry no design can be priced at is refused the same way: a
+    // cluster size that does not divide the 32-IPU small tile, a zero
+    // FIFO depth, zero tiles or so many that `n_tiles × k_unroll` wraps,
+    // a degenerate synthetic stack, a workload whose MAC count overflows
+    // — in an eval's scenario or on a sweep axis.
     for (line, reason) in [
         (
             r#"{"req":"eval","scenario":{"tile":"small","cluster":5}}"#,
@@ -123,6 +125,30 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
             r#"{"req":"sweep","axes":[{"axis":"buffer_depth","values":[0]}]}"#,
             "buffer depth",
         ),
+        (
+            r#"{"req":"eval","scenario":{"workload":{"synthetic":[0,14,2]}}}"#,
+            "synthetic stack",
+        ),
+        (
+            r#"{"req":"eval","scenario":{"w":8,"workload":{"synthetic":[100000,100000,100000]}}}"#,
+            "MACs",
+        ),
+        (
+            r#"{"req":"eval","scenario":{"w":8,"n_tiles":2305843009213693952}}"#,
+            "n_tiles",
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"workload","values":[{"synthetic":[64,14,0]}]}]}"#,
+            "synthetic stack",
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"workload","values":[{"synthetic":[100000,100000,100000]}]}]}"#,
+            "MACs",
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"n_tiles","values":[1,2305843009213693952]}]}"#,
+            "n_tiles",
+        ),
     ] {
         client.send_line(line).unwrap();
         let r = client.collect_response().unwrap();
@@ -133,9 +159,24 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
         assert!(r.find("sweep_started").is_none(), "{line} started a sweep");
     }
 
-    // Same connection still serves real requests.
+    // A search cancelled inside its first rung reports the stop, not a
+    // handler panic.
+    client
+        .send_line(r#"{"req":"search","axes":[{"axis":"schedule_mask","layers":12}],"max_evals":640,"initial":512,"max_ms":1}"#)
+        .unwrap();
+    let r = client.collect_response().unwrap();
+    let code = r.error().map(|(code, _)| code);
+    assert_ne!(code.as_deref(), Some("internal"), "{:?}", r.lines);
+
+    // Same connection still serves real requests, sweeps included.
     let r = client.request(&Request::List).unwrap();
     assert!(r.ok, "connection survives malformed lines");
+    let r = client.request(&Request::Sweep(small_sweep())).unwrap();
+    assert!(
+        r.ok,
+        "a sweep after the hostile lines completes: {:?}",
+        r.lines
+    );
 }
 
 #[test]

@@ -6,12 +6,27 @@
 //! distribution parameters are finite floats (the JSON writer
 //! round-trips finite `f64` exactly), axes are non-empty (the parser
 //! rejects empty ones), and objective names come from the catalog.
+//!
+//! The canonical bytes themselves are pinned by a golden file
+//! (`tests/golden/wire_requests.jsonl`): the presets plus one maximal
+//! request per kind, so a codec change that alters any emitted byte —
+//! and with it the canonical request line a journal resume compares —
+//! fails here.
 
+use mpipu_serve::presets;
 use mpipu_serve::request::{
-    AxisSpec, DistSpec, ErrorCode, EvalReq, PassSel, Request, SampleSpec, ScenarioSpec, SweepReq,
-    TileSel, TopKSpec, WorkloadSpec, ZooSel, OBJECTIVE_NAMES,
+    AxisSpec, DistSpec, ErrorCode, EvalReq, PassSel, Request, SampleSpec, ScenarioSpec, SearchReq,
+    SweepReq, TileSel, TopKSpec, WorkloadSpec, ZooSel,
 };
 use proptest::prelude::*;
+
+/// Every objective name the wire accepts, in catalog order.
+fn objective_names() -> Vec<&'static str> {
+    mpipu_explore::objectives::ALL
+        .iter()
+        .map(|o| o.name)
+        .collect()
+}
 
 /// splitmix64 — a small deterministic stream for structural choices.
 fn next(state: &mut u64) -> u64 {
@@ -135,8 +150,9 @@ fn arbitrary_axis(state: &mut u64) -> AxisSpec {
 }
 
 fn arbitrary_objectives(state: &mut u64) -> Vec<String> {
+    let names = objective_names();
     nonempty(state, 4, |s| {
-        OBJECTIVE_NAMES[(next(s) % OBJECTIVE_NAMES.len() as u64) as usize].to_string()
+        names[(next(s) % names.len() as u64) as usize].to_string()
     })
 }
 
@@ -155,7 +171,7 @@ fn arbitrary_request(state: &mut u64) -> Request {
                 .collect(),
             objectives: arbitrary_objectives(state),
             top_k: maybe(state, |s| TopKSpec {
-                objective: OBJECTIVE_NAMES[(next(s) % OBJECTIVE_NAMES.len() as u64) as usize]
+                objective: objective_names()[(next(s) % objective_names().len() as u64) as usize]
                     .to_string(),
                 k: 1 + (next(s) % 16) as usize,
             }),
@@ -220,7 +236,7 @@ proptest! {
 
 #[test]
 fn directed_malformed_lines_are_structured_errors() {
-    let cases: [(&str, ErrorCode); 8] = [
+    let cases: [(&str, ErrorCode); 86] = [
         ("", ErrorCode::Parse),
         ("{", ErrorCode::Parse),
         (
@@ -244,9 +260,409 @@ fn directed_malformed_lines_are_structured_errors() {
             r#"{"req":"sweep","sample":{"count":0}}"#,
             ErrorCode::BadRequest,
         ),
+        // An unknown key at every nesting level.
+        (r#"{"req":"list","x":1}"#, ErrorCode::BadRequest),
+        (r#"{"req":"stats","x":1}"#, ErrorCode::BadRequest),
+        (r#"{"req":"eval","x":1}"#, ErrorCode::BadRequest),
+        (r#"{"req":"sweep","x":1}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"x":1}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"x":1}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (r#"{"req":"sweep","base":{"x":1}}"#, ErrorCode::BadRequest),
+        (r#"{"req":"search","base":{"x":1}}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"eval","scenario":{"workload":{"zoo":"resnet18","x":1}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"weight"},"wgt":{"kind":"weight"},"x":1}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"normal","std":1,"x":1},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"weight","std":1},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"normal","b":1},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"w","values":[8],"x":1}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"schedule_mask","layers":4,"values":[1]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","top_k":{"objective":"cycles","k":1,"x":1}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","sample":{"count":1,"x":1}}"#,
+            ErrorCode::BadRequest,
+        ),
+        // A non-object where an object belongs.
+        (r#""just a string""#, ErrorCode::Parse),
+        (r#"{}"#, ErrorCode::Parse),
+        (r#"{"req":"eval","scenario":5}"#, ErrorCode::Parse),
+        (r#"{"req":"sweep","base":[]}"#, ErrorCode::Parse),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"base":true}"#,
+            ErrorCode::Parse,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"workload":"resnet18"}}"#,
+            ErrorCode::Parse,
+        ),
+        (r#"{"req":"eval","scenario":{"dists":5}}"#, ErrorCode::Parse),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":5,"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::Parse,
+        ),
+        (r#"{"req":"sweep","axes":[5]}"#, ErrorCode::Parse),
+        (r#"{"req":"sweep","top_k":5}"#, ErrorCode::Parse),
+        (r#"{"req":"sweep","sample":"all"}"#, ErrorCode::Parse),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"workload","values":[5]}]}"#,
+            ErrorCode::Parse,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"dists","values":[[1]]}]}"#,
+            ErrorCode::Parse,
+        ),
+        // A scalar of the wrong type, or a missing required field.
+        (r#"{"req":5}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"eval","scenario":{"w":"8"}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"tile":1}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"seed":1.5}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (r#"{"req":"eval","tag":5}"#, ErrorCode::BadRequest),
+        (r#"{"req":"sweep","axes":{}}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"sweep","objectives":"cycles"}"#,
+            ErrorCode::BadRequest,
+        ),
+        (r#"{"req":"sweep","objectives":[1]}"#, ErrorCode::BadRequest),
+        (r#"{"req":"sweep","objectives":[]}"#, ErrorCode::BadRequest),
+        (r#"{"req":"sweep","max_ms":-1}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"keep":"half"}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"initial":0}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"rungs":0}"#,
+            ErrorCode::BadRequest,
+        ),
+        (r#"{"req":"search","axes":[]}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"normal","std":"1"},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"uniform","scale":1e999},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"std":1},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"workload":{"synthetic":[1,2]}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"workload":{"synthetic":[1,2,"3"]}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"workload":{"zoo":"resnet18","synthetic":[1,2,3]}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"workload":{}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (r#"{"req":"sweep","top_k":{"k":1}}"#, ErrorCode::BadRequest),
+        (
+            r#"{"req":"sweep","sample":{"seed":1}}"#,
+            ErrorCode::BadRequest,
+        ),
+        // A u32 field past u32::MAX.
+        (
+            r#"{"req":"eval","scenario":{"w":4294967296}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"software_precision","values":[4294967296]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"schedule_mask","layers":4294967296}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"w","grid":[8,4294967296,1]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        // An unknown label in every label set.
+        (
+            r#"{"req":"eval","scenario":{"pass":"sideways"}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"workload":{"zoo":"vgg16"}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":{"kind":"cauchy"},"wgt":{"kind":"weight"}}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":"sideways"}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"tile","values":["huge"]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"pass","values":["up"]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"depth","values":[1]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","top_k":{"objective":"speed","k":1}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"objectives":["speed"]}"#,
+            ErrorCode::BadRequest,
+        ),
+        // Range sugar and `layers` on the wrong axis, or malformed.
+        (
+            r#"{"req":"sweep","axes":[{"axis":"cluster","grid":[1,4,1]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"w","log2":[1,8]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"cluster","layers":3}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"w","values":[8],"grid":[8,12,2]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"w","grid":[12,8,1]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"cluster","log2":[3,8]}]}"#,
+            ErrorCode::BadRequest,
+        ),
+        // The first error in the parser's reading order decides the code.
+        (
+            r#"{"req":"sweep","base":5,"objectives":[]}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"sweep","base":5,"top_k":{"objective":"cycles","k":0}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"search","axes":[{"axis":"w","values":[8]}],"base":5,"keep":2}"#,
+            ErrorCode::BadRequest,
+        ),
+        (
+            r#"{"req":"eval","scenario":{"dists":{"act":5}}}"#,
+            ErrorCode::BadRequest,
+        ),
+        (r#"{"req":"sweep","base":5,"x":1}"#, ErrorCode::BadRequest),
     ];
     for (line, code) in cases {
         let err = Request::parse(line).expect_err(line);
         assert_eq!(err.code, code, "line {line}: {}", err.message);
+    }
+}
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/wire_requests.jsonl"
+);
+
+/// A scenario with every field set.
+fn full_scenario() -> ScenarioSpec {
+    ScenarioSpec {
+        tile: Some(TileSel::Big),
+        w: Some(12),
+        software_precision: Some(20),
+        cluster: Some(4),
+        buffer_depth: Some(8),
+        n_tiles: Some(2),
+        workload: Some(WorkloadSpec::Synthetic(64, 14, 3)),
+        pass: Some(PassSel::Bwd),
+        dists: Some((
+            DistSpec::Uniform { scale: 3.0 },
+            DistSpec::Laplace { b: 0.1 },
+        )),
+        seed: Some(u64::MAX),
+        sample_steps: Some(48),
+    }
+}
+
+/// Every axis kind, every distribution kind, every zoo model.
+fn every_axis() -> Vec<AxisSpec> {
+    vec![
+        AxisSpec::Tile(vec![TileSel::Small, TileSel::Big]),
+        AxisSpec::W(vec![8, 12, 38]),
+        AxisSpec::SoftwarePrecision(vec![16, 28]),
+        AxisSpec::Cluster(vec![1, 2, 4]),
+        AxisSpec::BufferDepth(vec![2, 4]),
+        AxisSpec::NTiles(vec![1, 8]),
+        AxisSpec::Workload(vec![
+            WorkloadSpec::Zoo(ZooSel::Resnet18),
+            WorkloadSpec::Zoo(ZooSel::Resnet50),
+            WorkloadSpec::Zoo(ZooSel::Inceptionv3),
+            WorkloadSpec::Synthetic(16, 8, 9),
+        ]),
+        AxisSpec::Pass(vec![PassSel::Fwd, PassSel::Bwd]),
+        AxisSpec::Dists(vec![
+            (
+                DistSpec::Uniform { scale: 2.5 },
+                DistSpec::Normal { std: 1e-3 },
+            ),
+            (DistSpec::Laplace { b: 7.0 }, DistSpec::Resnet18),
+            (DistSpec::Resnet50, DistSpec::Backward),
+            (DistSpec::Weight, DistSpec::Weight),
+        ]),
+        AxisSpec::ScheduleMask(10),
+    ]
+}
+
+/// The presets plus one maximal request of every kind, one canonical
+/// line each.
+fn specimen_lines() -> String {
+    let tag = || Some("max \"tag\" \\ é 🦀".to_string());
+    let reqs = [
+        Request::List,
+        Request::Stats,
+        Request::Eval(EvalReq {
+            scenario: full_scenario(),
+            tag: tag(),
+        }),
+        Request::Sweep(SweepReq {
+            base: full_scenario(),
+            axes: every_axis(),
+            objectives: [
+                "cycles",
+                "fp_slowdown",
+                "fp_fraction",
+                "int_tops_per_mm2",
+                "int_tops_per_w",
+                "fp_tflops_per_mm2",
+                "fp_tflops_per_w",
+            ]
+            .map(String::from)
+            .to_vec(),
+            top_k: Some(TopKSpec {
+                objective: "int_tops_per_w".to_string(),
+                k: 7,
+            }),
+            sample: Some(SampleSpec {
+                count: 100,
+                seed: 1 << 60,
+            }),
+            max_points: Some(u64::MAX),
+            max_ms: Some(2500),
+            chunk: Some(64),
+            progress_every: Some(0),
+            tag: tag(),
+        }),
+        Request::Search(SearchReq {
+            base: full_scenario(),
+            axes: every_axis(),
+            objectives: vec!["cycles".to_string(), "fp_fraction".to_string()],
+            initial: Some(48),
+            rungs: Some(5),
+            keep: Some(0.375),
+            max_evals: Some(960),
+            seed: Some(0xDEAD_BEEF),
+            max_ms: Some(9000),
+            chunk: Some(32),
+            tag: tag(),
+        }),
+        Request::Sweep(presets::demo_sweep()),
+        Request::Sweep(presets::frontier_sweep(0.02)),
+        Request::Sweep(presets::cold_grid_sweep()),
+        Request::Search(presets::schedule_search(27)),
+    ];
+    let mut out = String::new();
+    for req in &reqs {
+        out.push_str(&req.to_line());
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn canonical_lines_match_the_golden_file() {
+    let got = specimen_lines();
+    let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
+        panic!(
+            "cannot read golden file {GOLDEN_PATH}: {e}\n\
+             (run the `bless` test below to create it)"
+        )
+    });
+    assert!(
+        got == golden,
+        "canonical request bytes drifted from the golden file. Journals \
+         written before the change no longer resume; if that is deliberate, \
+         regenerate with `BLESS=1 cargo test -p mpipu-serve --test \
+         request_roundtrip` and review the diff.\n\n--- golden ---\n{golden}\n--- got ---\n{got}"
+    );
+    // Every golden line parses and re-emits itself byte for byte.
+    for line in golden.lines() {
+        let req = Request::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(req.to_line(), line);
+    }
+}
+
+/// Regenerates the golden file when `BLESS=1` is set; otherwise a no-op.
+#[test]
+fn bless() {
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(GOLDEN_PATH, specimen_lines()).expect("write golden file");
     }
 }

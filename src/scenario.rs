@@ -310,6 +310,17 @@ impl Scenario {
         }
     }
 
+    /// The synthetic stack's `(channels, spatial, depth)`, when the
+    /// scenario runs one — checkable before
+    /// [`Scenario::resolve_workload`], which panics on a stack with a
+    /// zero dimension.
+    pub fn synthetic_dims(&self) -> Option<(usize, usize, usize)> {
+        match self.workload {
+            WorkloadChoice::Synthetic(c, s, d) => Some((c, s, d)),
+            _ => None,
+        }
+    }
+
     /// The lowered form without schedule validation (shared by
     /// [`Scenario::try_lower`] and [`Scenario::run`], which validates
     /// implicitly when the schedule materializes against the workload).
