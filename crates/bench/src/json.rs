@@ -95,7 +95,7 @@ impl Json {
     /// Serialize with two-space indentation and a trailing newline.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -104,11 +104,13 @@ impl Json {
     /// event stream writes (one document per line).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Serialize at pretty-printing depth `indent`, or on one line when
+    /// `indent` is `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -117,80 +119,44 @@ impl Json {
                 let _ = write!(out, "{x}");
             }
             Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
+            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, item, inner| {
+                item.write(out, inner)
+            }),
+            Json::Obj(pairs) => write_seq(out, indent, ('{', '}'), pairs, |out, (k, v), inner| {
+                write_str(out, k);
+                out.push_str(if inner.is_some() { ": " } else { ":" });
+                v.write(out, inner);
+            }),
         }
     }
+}
 
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_num(out, *x),
-            Json::UInt(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
+/// A bracketed, comma-separated sequence: one item per indented line
+/// when pretty-printing, packed on one line otherwise.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    mut write_item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    let inner = indent.map(|depth| depth + 1);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        if let Some(depth) = inner {
+            out.push('\n');
+            push_indent(out, depth);
+        }
+        write_item(out, item, inner);
     }
+    if let (Some(depth), false) = (indent, items.is_empty()) {
+        out.push('\n');
+        push_indent(out, depth);
+    }
+    out.push(close);
 }
 
 /// A parse failure: message plus byte offset.

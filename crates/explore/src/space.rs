@@ -83,10 +83,9 @@ impl From<Vec<Vec<Arc<str>>>> for LabelTable {
     }
 }
 
-/// The most MAC work (all layers × multiplicity, one sample) a workload
-/// may carry: over 10⁴× the largest zoo network, and far enough inside
-/// `u64` that every step and cycle count the cost model derives from it
-/// stays in range.
+/// The most MAC work (all layers × multiplicity) a workload may carry:
+/// over 10⁴× the largest zoo network, and far enough inside `u64` that
+/// every step and cycle count derived from it stays in range.
 pub const MAX_WORKLOAD_MACS: u64 = 1 << 48;
 
 /// Why a space cannot be swept ([`ParamSpace::check`]).
@@ -143,16 +142,16 @@ fn check_at_least_one(value: usize, what: &str) -> Result<(), SpaceError> {
 /// `n` tiles share the K dimension: `n × k_unroll` must not overflow.
 fn check_n_tiles(n: usize, k_unroll: usize) -> Result<(), SpaceError> {
     check_at_least_one(n, "n_tiles")?;
-    match n.checked_mul(k_unroll) {
-        Some(_) => Ok(()),
-        None => Err(SpaceError::Geometry(format!(
+    n.checked_mul(k_unroll).map(drop).ok_or_else(|| {
+        SpaceError::Geometry(format!(
             "n_tiles {n} overflows the tiles' combined K unrolling"
-        ))),
-    }
+        ))
+    })
 }
 
-/// A scenario's workload must be a non-degenerate stack whose MAC count
-/// fits [`MAX_WORKLOAD_MACS`].
+/// A scenario's workload must stay within [`MAX_WORKLOAD_MACS`], and a
+/// synthetic stack needs every dimension (checked first: resolving a
+/// degenerate stack panics).
 fn check_workload(scenario: &Scenario) -> Result<(), SpaceError> {
     if let Some((c, s, d)) = scenario.synthetic_dims() {
         if c == 0 || s == 0 || d == 0 {
@@ -353,15 +352,14 @@ impl ParamSpace {
         Ok(())
     }
 
-    /// Check that every point of the space can be priced: its workloads
-    /// are sound, its schedules fit them ([`ParamSpace::check_schedules`]),
-    /// and its tile geometry is sound. Every workload — the base
-    /// scenario's or a [`Axis::Workload`] value — must be a synthetic
-    /// stack with no zero dimension or a network, within
-    /// [`MAX_WORKLOAD_MACS`]. Every cluster size — the base tile's, a
+    /// Check that every point of the space can be priced: its schedules
+    /// fit its workloads ([`ParamSpace::check_schedules`]) and its
+    /// geometry is sound. Every workload — the base scenario's or a
+    /// [`Axis::Workload`] value — must stay within [`MAX_WORKLOAD_MACS`],
+    /// and a synthetic stack needs every dimension. Every cluster size — the base tile's, a
     /// [`crate::TileChoice`]'s own, or a [`Axis::Cluster`] value — must
-    /// divide the IPU count of every tile it reaches; buffer depths must
-    /// be at least 1, and tile counts at least 1 without overflowing any
+    /// divide the IPU count of every tile it reaches; buffer depths and
+    /// tile counts must be at least 1, and no tile count may overflow a
     /// reached tile's K unrolling. Axis values are checked per axis,
     /// never by enumerating their product. The sweep engine refuses
     /// spaces that fail; hosts taking spaces from users (the daemon)
@@ -377,16 +375,11 @@ impl ParamSpace {
         let design = self.base.design();
         check_tile(&design.tile)?;
         // An n_tiles value meets every tile the space reaches.
-        let k_unroll = self
-            .axes
-            .iter()
-            .fold(design.tile.k_unroll, |k, axis| match axis {
-                Axis::Tile(choices) => choices
-                    .iter()
-                    .map(|c| c.config().k_unroll)
-                    .fold(k, usize::max),
-                _ => k,
-            });
+        let choices = self.axes.iter().flat_map(|axis| match axis {
+            Axis::Tile(choices) => choices.as_slice(),
+            _ => &[],
+        });
+        let k_unroll = choices.fold(design.tile.k_unroll, |k, c| k.max(c.config().k_unroll));
         check_n_tiles(design.n_tiles, k_unroll)?;
         // Distinct IPU counts of the tiles reachable so far: a cluster
         // axis applies to whichever tile the earlier axes left in place.

@@ -156,11 +156,18 @@ fn fail(e: impl std::fmt::Display) -> i32 {
     1
 }
 
-fn wait(args: &[String]) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
+/// The `Ok` value, or an early return of [`fail`]'s exit code.
+macro_rules! or_fail {
+    ($result:expr) => {
+        match $result {
+            Ok(v) => v,
+            Err(e) => return fail(e),
+        }
     };
+}
+
+fn wait(args: &[String]) -> i32 {
+    let opts = or_fail!(Opts::parse(args));
     let timeout = opts
         .num::<u64>("timeout-ms")
         .unwrap_or(None)
@@ -195,10 +202,7 @@ fn print_response(r: &Response) -> i32 {
 }
 
 fn simple(args: &[String], req: Request) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
+    let opts = or_fail!(Opts::parse(args));
     match run_request(&opts.addr, &req) {
         Ok(r) => print_response(&r),
         Err(e) => fail(e),
@@ -210,14 +214,8 @@ fn run_request(addr: &str, req: &Request) -> std::io::Result<Response> {
 }
 
 fn eval(args: &[String]) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let req = match eval_request(&opts) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let opts = or_fail!(Opts::parse(args));
+    let req = or_fail!(eval_request(&opts));
     match run_request(&opts.addr, &req) {
         Ok(r) => print_response(&r),
         Err(e) => fail(e),
@@ -267,17 +265,11 @@ fn sweep_request(opts: &Opts) -> Result<SweepReq, String> {
         };
     }
     req.max_ms = opts.num("max-ms")?;
-    if let Some(chunk) = opts.num("chunk")? {
-        req.chunk = Some(chunk);
-    }
-    if let Some(every) = opts.num("progress-every")? {
-        req.progress_every = Some(every);
-    }
+    req.chunk = opts.num("chunk")?.or(req.chunk);
+    req.progress_every = opts.num("progress-every")?.or(req.progress_every);
     // Presets may carry their own tag (e.g. cold-grid); only an explicit
     // --tag overrides it.
-    if let Some(tag) = opts.get("tag") {
-        req.tag = Some(tag.to_string());
-    }
+    req.tag = opts.get("tag").map(str::to_string).or(req.tag);
     Ok(req)
 }
 
@@ -301,10 +293,7 @@ fn shard_config(opts: &Opts) -> Result<ShardConfig, String> {
 /// `sweep local`: coordinate the sweep across worker processes,
 /// printing the same event-line dialect the daemon streams.
 fn local_sweep(opts: &Opts, req: &SweepReq) -> i32 {
-    let cfg = match shard_config(opts) {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
+    let cfg = or_fail!(shard_config(opts));
     match run_sharded(req, &cfg, &|j: &Json| {
         emit(&j.to_string_compact());
     }) {
@@ -322,10 +311,7 @@ fn local_sweep(opts: &Opts, req: &SweepReq) -> i32 {
 }
 
 fn sweep(args: &[String]) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
+    let opts = or_fail!(Opts::parse(args));
     if opts.addr == "local" {
         return match sweep_request(&opts) {
             Ok(r) => local_sweep(&opts, &r),
@@ -337,10 +323,7 @@ fn sweep(args: &[String]) -> i32 {
         Err(e) => return fail(e),
     };
     // Stream: print each line as it arrives rather than collecting.
-    let mut client = match Client::connect(&opts.addr) {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
+    let mut client = or_fail!(Client::connect(&opts.addr));
     if let Err(e) = client.send(&req) {
         return fail(e);
     }
@@ -363,44 +346,21 @@ fn sweep(args: &[String]) -> i32 {
 
 fn search_request(opts: &Opts) -> Result<SearchReq, String> {
     let mut req = presets::schedule_search(opts.num::<u32>("layers")?.unwrap_or(27));
-    if let Some(v) = opts.num::<usize>("initial")? {
-        req.initial = Some(v);
-    }
-    if let Some(v) = opts.num::<usize>("rungs")? {
-        req.rungs = Some(v);
-    }
-    if let Some(v) = opts.num::<f64>("keep")? {
-        req.keep = Some(v);
-    }
-    if let Some(v) = opts.num::<u64>("max-evals")? {
-        req.max_evals = Some(v);
-    }
-    if let Some(v) = opts.num::<u64>("seed")? {
-        req.seed = Some(v);
-    }
+    req.initial = opts.num("initial")?.or(req.initial);
+    req.rungs = opts.num("rungs")?.or(req.rungs);
+    req.keep = opts.num("keep")?.or(req.keep);
+    req.max_evals = opts.num("max-evals")?.or(req.max_evals);
+    req.seed = opts.num("seed")?.or(req.seed);
     req.max_ms = opts.num("max-ms")?.or(req.max_ms);
-    if let Some(chunk) = opts.num("chunk")? {
-        req.chunk = Some(chunk);
-    }
-    if let Some(tag) = opts.get("tag") {
-        req.tag = Some(tag.to_string());
-    }
+    req.chunk = opts.num("chunk")?.or(req.chunk);
+    req.tag = opts.get("tag").map(str::to_string).or(req.tag);
     Ok(req)
 }
 
 fn search(args: &[String]) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let req = match search_request(&opts) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    let r = match run_request(&opts.addr, &Request::Search(req.clone())) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let opts = or_fail!(Opts::parse(args));
+    let req = or_fail!(search_request(&opts));
+    let r = or_fail!(run_request(&opts.addr, &Request::Search(req.clone())));
     let code = print_response(&r);
     if code != 0 || !opts.has("verify") {
         return code;
@@ -439,10 +399,7 @@ fn raw(args: &[String]) -> i32 {
     if line.is_empty() {
         return fail("missing LINE");
     }
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
+    let mut client = or_fail!(Client::connect(addr));
     if let Err(e) = client.send_line(&line) {
         return fail(e);
     }
@@ -453,14 +410,8 @@ fn raw(args: &[String]) -> i32 {
 }
 
 fn verify(args: &[String]) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let req = match sweep_request(&opts) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let opts = or_fail!(Opts::parse(args));
+    let req = or_fail!(sweep_request(&opts));
     let threads = opts.num::<usize>("threads").unwrap_or(None).unwrap_or(1);
     let served = match run_request(&opts.addr, &Request::Sweep(req.clone())) {
         Ok(r) if r.ok => match r.result_line() {
@@ -671,10 +622,7 @@ fn bench_local(opts: &Opts) -> i32 {
     })();
     let _ = std::fs::remove_file(&journal1);
     let _ = std::fs::remove_file(&journal);
-    let records = match outcome {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let records = or_fail!(outcome);
     if let Some(path) = opts.get("merge") {
         if let Err(e) = merge_into(path, &records) {
             return fail(e);
@@ -693,10 +641,7 @@ fn bench_local(opts: &Opts) -> i32 {
 }
 
 fn bench(args: &[String]) -> i32 {
-    let opts = match Opts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
+    let opts = or_fail!(Opts::parse(args));
     if opts.addr == "local" {
         return bench_local(&opts);
     }
@@ -709,10 +654,7 @@ fn bench(args: &[String]) -> i32 {
 
     // -- request-latency percentiles per class, at 1 and 8 clients ---------
     eprintln!("bench: eval latency, 1 client ...");
-    let mut solo = match eval_latencies(&addr, 64) {
-        Ok(ns) => ns,
-        Err(e) => return fail(e),
-    };
+    let mut solo = or_fail!(eval_latencies(&addr, 64));
     solo.sort_by(f64::total_cmp);
     records.push(Record {
         name: "serve_load/eval_p50_1c".to_string(),
@@ -746,10 +688,7 @@ fn bench(args: &[String]) -> i32 {
     for clients in [1usize, 8, 32] {
         eprintln!("bench: demo sweeps, {clients} concurrent clients ...");
         let t = Instant::now();
-        let results = match spread(clients, || sweep_once(&addr)) {
-            Ok(v) => v,
-            Err(e) => return fail(e),
-        };
+        let results = or_fail!(spread(clients, || sweep_once(&addr)));
         let wall_ns = t.elapsed().as_nanos() as f64;
         let mut lat: Vec<f64> = results.iter().map(|(ns, _)| *ns).collect();
         lat.sort_by(f64::total_cmp);
@@ -798,10 +737,7 @@ fn bench(args: &[String]) -> i32 {
         }
         Ok(t.elapsed().as_nanos() as f64)
     };
-    let cold = match run_grid("cold") {
-        Ok(ns) => ns,
-        Err(e) => return fail(e),
-    };
+    let cold = or_fail!(run_grid("cold"));
     eprintln!("bench: warm identical sweeps (different clients) ...");
     // Three repeats, each from a fresh client, best-of: every one is an
     // identical sweep served from the shared cache, and the minimum

@@ -1,24 +1,11 @@
-//! The wire codec: one strict mapping between JSON values and the
-//! request types, written once and shared by every request field.
+//! The wire codec every request type reads and writes through: a typed
+//! value codec ([`Wire`]), a strict object reader ([`Obj`]) that rejects
+//! unknown keys on entry and names fields by dotted [`Path`]s built only
+//! when an error is reported, an optional-field writer ([`Fields`]), and
+//! one `(value, label)` table per closed label set ([`Label`]).
 //!
-//! Four parts:
-//!
-//! * [`Wire`] — a typed value codec, implemented once for `u32`, `u64`,
-//!   `usize`, `f64`, `String`, `Vec<T>`, and `[T; N]`, and by every wire
-//!   type built from them.
-//! * [`Obj`] — a strict object reader: it rejects unknown keys on entry,
-//!   before any field is read, and names each field by its dotted
-//!   [`Path`] (`scenario.w`, `axes[2].values[0]`). Paths live on the
-//!   stack and are formatted only when an error is reported, so a line
-//!   that parses allocates nothing for them.
-//! * [`Fields`] — the matching writer, which emits optional fields only
-//!   when set.
-//! * [`Label`] — one `(value, label)` table per closed label set, which
-//!   parses, prints, and lists the expected labels in error messages.
-//!
-//! Error codes follow the schema: a value that should be an object and
-//! is not is a `parse` error; every other malformed value is a
-//! `bad_request`.
+//! A value that should be an object and is not is a `parse` error;
+//! every other malformed value is a `bad_request`.
 
 use crate::request::WireError;
 use mpipu_bench::json::Json;
@@ -27,8 +14,8 @@ use std::fmt;
 /// Where a value sits in the request line, for error messages.
 #[derive(Debug, Clone, Copy)]
 pub enum Path<'a> {
-    /// The request object itself.
-    Root,
+    /// The top-level object, by name (`"request"`).
+    Root(&'static str),
     /// A named field of an object.
     Key(&'a Path<'a>, &'static str),
     /// An element of an array.
@@ -45,16 +32,15 @@ impl Path<'_> {
 impl fmt::Display for Path<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Path::Root => f.write_str("request"),
-            Path::Key(Path::Root, key) => f.write_str(key),
+            Path::Root(name) => f.write_str(name),
+            Path::Key(Path::Root(_), key) => f.write_str(key),
             Path::Key(parent, key) => write!(f, "{parent}.{key}"),
             Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
         }
     }
 }
 
-/// A type with one canonical wire form. Unsized views (`str`, `[T]`)
-/// only write.
+/// A type with one canonical wire form (unsized views only write).
 pub trait Wire {
     /// The canonical JSON value.
     fn write(&self) -> Json;
@@ -217,17 +203,15 @@ pub struct Obj<'a> {
 }
 
 impl<'a> Obj<'a> {
-    /// Open `j` as an object whose keys all come from `keys`. A
-    /// non-object is a `parse` error and an unknown key a `bad_request`,
-    /// both before any field is read.
+    /// Open `j` as an object whose keys all come from `keys`, checked
+    /// before any field is read.
     pub fn open(j: &'a Json, at: Path<'a>, keys: &[&str]) -> Result<Obj<'a>, WireError> {
         let obj = Obj::any(j, at)?;
         obj.only(keys)?;
         Ok(obj)
     }
 
-    /// Open `j` as an object whose keys are checked later, with
-    /// [`Obj::only`] (the request envelope's depend on its kind).
+    /// Open `j` as an object whose keys are checked later, if at all.
     pub fn any(j: &'a Json, at: Path<'a>) -> Result<Obj<'a>, WireError> {
         match j {
             Json::Obj(fields) => Ok(Obj { fields, at }),
@@ -235,10 +219,10 @@ impl<'a> Obj<'a> {
         }
     }
 
-    /// Reject any key outside `keys`. The request envelope's `req` key
-    /// is always known at the root.
+    /// Reject any key outside `keys` (the envelope's `req` is known at
+    /// the root).
     pub fn only(&self, keys: &[&str]) -> Result<(), WireError> {
-        let root = matches!(self.at, Path::Root);
+        let root = matches!(self.at, Path::Root(_));
         let unknown = self
             .fields
             .iter()
@@ -294,16 +278,6 @@ impl<'a> Obj<'a> {
             v => Ok(v),
         }
     }
-
-    /// A field that takes `absent()` when missing.
-    pub fn or<T: Wire>(&self, key: &'static str, absent: fn() -> T) -> Result<T, WireError> {
-        Ok(self.opt(key)?.unwrap_or_else(absent))
-    }
-
-    /// A required string field, borrowed.
-    pub fn str(&self, key: &'static str) -> Result<&'a str, WireError> {
-        str_at(self.need(key)?, self.at.key(key))
-    }
 }
 
 /// Builds a JSON object field by field, in wire order.
@@ -312,8 +286,13 @@ pub struct Fields(Vec<(String, Json)>);
 
 impl Fields {
     /// Write a field.
-    pub fn put(mut self, key: &str, value: &(impl Wire + ?Sized)) -> Fields {
-        self.0.push((key.to_string(), value.write()));
+    pub fn put(self, key: &str, value: &(impl Wire + ?Sized)) -> Fields {
+        self.json(key, value.write())
+    }
+
+    /// Write a field already in JSON form.
+    pub fn json(mut self, key: &str, value: Json) -> Fields {
+        self.0.push((key.to_string(), value));
         self
     }
 
@@ -333,8 +312,8 @@ impl From<Fields> for Json {
 }
 
 /// Implement [`Wire`] for a struct of `Option` fields from one list of
-/// them, in wire order: each is read in that order (so the first error
-/// is the one reported) and written only when set.
+/// them, in wire order: read in that order (so the first error is the
+/// one reported), written only when set.
 macro_rules! optional_fields {
     ($ty:ident { $($key:ident),* $(,)? }) => {
         impl $crate::codec::Wire for $ty {

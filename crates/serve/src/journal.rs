@@ -29,6 +29,8 @@
 //! loses at most the unit being appended — it re-runs on resume).
 //! Corruption anywhere earlier is an error, not a skip.
 
+use crate::codec::{self, expected, str_at, Fields, Obj, Wire};
+use crate::request::WireError;
 use mpipu_bench::json::Json;
 use mpipu_sim::{CacheKey, CACHE_KEY_WORDS};
 use std::fs::{File, OpenOptions};
@@ -86,174 +88,130 @@ pub struct UnitRecord {
     pub memo: Vec<(CacheKey, f64)>,
 }
 
-fn snapshot_json(p: &SnapshotPoint) -> Json {
-    let mut row = Vec::with_capacity(1 + p.bits.len());
-    row.push(Json::from(p.id));
-    row.extend(p.bits.iter().map(|&b| Json::from(b)));
-    Json::Arr(row)
-}
+impl Wire for SnapshotPoint {
+    /// `[id, bits…]`.
+    fn write(&self) -> Json {
+        let row = std::iter::once(self.id).chain(self.bits.iter().copied());
+        Json::Arr(row.map(Json::from).collect())
+    }
 
-fn as_u64(j: &Json) -> Option<u64> {
-    match j {
-        Json::UInt(x) => Some(*x),
-        _ => None,
+    fn read(j: &Json, at: codec::Path<'_>) -> Result<SnapshotPoint, WireError> {
+        match Vec::<u64>::read(j, at)?.split_first() {
+            Some((&id, bits)) => Ok(SnapshotPoint {
+                id,
+                bits: bits.to_vec(),
+            }),
+            None => Err(expected(at, "a non-empty array")),
+        }
     }
 }
 
-fn parse_snapshot(j: &Json, what: &str) -> Result<SnapshotPoint, String> {
-    let Json::Arr(row) = j else {
-        return Err(format!("{what}: snapshot point is not an array"));
+/// A memo entry's row: `[backend name, key words…, value bits]`.
+fn memo_row((key, value): &(CacheKey, f64)) -> Json {
+    let words = key.to_words().into_iter().chain([value.to_bits()]);
+    let row = std::iter::once(Json::str(key.backend_name())).chain(words.map(Json::from));
+    Json::Arr(row.collect())
+}
+
+/// Read a memo row; `None` for a backend this build does not know (a
+/// newer producer's entry: skipped, since a warm start is an
+/// optimization, not a correctness input).
+fn read_memo_row(j: &Json, at: codec::Path<'_>) -> Result<Option<(CacheKey, f64)>, WireError> {
+    let Some((name, words)) = j.as_arr().and_then(<[Json]>::split_first) else {
+        return Err(expected(at, "a non-empty array"));
     };
-    let nums: Option<Vec<u64>> = row.iter().map(as_u64).collect();
-    let nums = nums.ok_or_else(|| format!("{what}: non-integer snapshot field"))?;
-    let (&id, bits) = nums
-        .split_first()
-        .ok_or_else(|| format!("{what}: empty snapshot point"))?;
-    Ok(SnapshotPoint {
-        id,
-        bits: bits.to_vec(),
-    })
+    let words: Vec<u64> = words
+        .iter()
+        .map(|w| u64::read(w, at))
+        .collect::<Result<_, _>>()?;
+    if words.len() != CACHE_KEY_WORDS + 1 {
+        return Err(expected(
+            at,
+            &format!("a backend and {} words", CACHE_KEY_WORDS + 1),
+        ));
+    }
+    let value = f64::from_bits(words[CACHE_KEY_WORDS]);
+    Ok(CacheKey::from_words(str_at(name, at)?, &words[..CACHE_KEY_WORDS]).map(|key| (key, value)))
 }
 
 /// The header's wire line.
 pub fn header_json(h: &JournalHeader) -> Json {
-    Json::obj([
-        ("journal", Json::str(JOURNAL_MAGIC)),
-        ("version", Json::from(JOURNAL_VERSION)),
-        ("request", Json::str(&h.request_line)),
-        ("unit_points", Json::from(h.unit_points)),
-        ("total_points", Json::from(h.total_points)),
-        ("units", Json::from(h.units)),
-    ])
+    Fields::default()
+        .put("journal", JOURNAL_MAGIC)
+        .put("version", &JOURNAL_VERSION)
+        .put("request", &h.request_line)
+        .put("unit_points", &h.unit_points)
+        .put("total_points", &h.total_points)
+        .put("units", &h.units)
+        .into()
 }
 
 fn parse_header(j: &Json) -> Result<JournalHeader, String> {
     if j.get("journal").and_then(Json::as_str) != Some(JOURNAL_MAGIC) {
         return Err("not a mpipu-sweep journal (bad magic)".to_string());
     }
-    let version = j.get("version").and_then(as_u64);
+    let version = match j.get("version") {
+        Some(Json::UInt(v)) => Some(*v),
+        _ => None,
+    };
     if version != Some(JOURNAL_VERSION) {
         return Err(format!(
             "unsupported journal version {version:?} (expected {JOURNAL_VERSION})"
         ));
     }
-    let field = |name: &str| {
-        j.get(name)
-            .and_then(as_u64)
-            .ok_or_else(|| format!("journal header is missing {name:?}"))
+    let read = || -> Result<JournalHeader, WireError> {
+        let o = Obj::any(j, codec::Path::Root("journal header"))?;
+        Ok(JournalHeader {
+            request_line: o.req("request")?,
+            unit_points: o.req("unit_points")?,
+            total_points: o.req("total_points")?,
+            units: o.req("units")?,
+        })
     };
-    Ok(JournalHeader {
-        request_line: j
-            .get("request")
-            .and_then(Json::as_str)
-            .ok_or("journal header is missing \"request\"")?
-            .to_string(),
-        unit_points: field("unit_points")?,
-        total_points: field("total_points")?,
-        units: field("units")?,
-    })
+    read().map_err(|e| e.message)
 }
 
 /// One unit's wire line.
 pub fn unit_json(r: &UnitRecord) -> Json {
-    let mut fields = vec![
-        ("unit".to_string(), Json::from(r.unit)),
-        ("lo".to_string(), Json::from(r.lo)),
-        ("hi".to_string(), Json::from(r.hi)),
-        (
-            "front".to_string(),
-            Json::Arr(r.front.iter().map(snapshot_json).collect()),
-        ),
-    ];
-    if let Some(top) = &r.top {
-        fields.push((
-            "top".to_string(),
-            Json::Arr(top.iter().map(snapshot_json).collect()),
-        ));
+    let fields = Fields::default()
+        .put("unit", &r.unit)
+        .put("lo", &r.lo)
+        .put("hi", &r.hi)
+        .put("front", &r.front)
+        .opt("top", &r.top)
+        .put("hits", &r.hits)
+        .put("misses", &r.misses);
+    if r.memo.is_empty() {
+        return fields.into();
     }
-    fields.push(("hits".to_string(), Json::from(r.hits)));
-    fields.push(("misses".to_string(), Json::from(r.misses)));
-    if !r.memo.is_empty() {
-        fields.push((
-            "memo".to_string(),
-            Json::Arr(
-                r.memo
-                    .iter()
-                    .map(|(key, value)| {
-                        let mut row: Vec<Json> = vec![Json::str(key.backend_name())];
-                        row.extend(key.to_words().iter().map(|&w| Json::from(w)));
-                        row.push(Json::from(value.to_bits()));
-                        Json::Arr(row)
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(fields)
+    let rows = r.memo.iter().map(memo_row).collect();
+    fields.json("memo", Json::Arr(rows)).into()
 }
 
 /// Parse a unit record object (the journal line form; extra fields such
 /// as the worker wire's `event` tag are ignored).
 pub fn unit_record_from_json(j: &Json) -> Result<UnitRecord, String> {
-    parse_unit(j)
-}
-
-fn parse_unit(j: &Json) -> Result<UnitRecord, String> {
-    let field = |name: &str| {
-        j.get(name)
-            .and_then(as_u64)
-            .ok_or_else(|| format!("unit record is missing {name:?}"))
-    };
-    let unit = field("unit")?;
-    let points = |name: &str| -> Result<Vec<SnapshotPoint>, String> {
-        j.get(name)
-            .and_then(Json::as_arr)
-            .map(|rows| {
-                rows.iter()
-                    .map(|row| parse_snapshot(row, name))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .transpose()
-            .map(Option::unwrap_or_default)
-    };
-    let mut memo = Vec::new();
-    if let Some(rows) = j.get("memo").and_then(Json::as_arr) {
-        for row in rows {
-            let Json::Arr(cells) = row else {
-                return Err("memo entry is not an array".to_string());
-            };
-            let (name, rest) = cells
-                .split_first()
-                .ok_or("memo entry is empty")
-                .map_err(str::to_string)?;
-            let name = name.as_str().ok_or("memo entry has no backend name")?;
-            let words: Option<Vec<u64>> = rest.iter().map(as_u64).collect();
-            let words = words.ok_or("memo entry has non-integer words")?;
-            if words.len() != CACHE_KEY_WORDS + 1 {
-                return Err(format!(
-                    "memo entry has {} words (expected {})",
-                    words.len(),
-                    CACHE_KEY_WORDS + 1
-                ));
-            }
-            // An unknown backend name means a newer producer — skip the
-            // entry (warm-start is an optimization, not a correctness
-            // input) rather than failing the whole journal.
-            if let Some(key) = CacheKey::from_words(name, &words[..CACHE_KEY_WORDS]) {
-                memo.push((key, f64::from_bits(words[CACHE_KEY_WORDS])));
+    let read = || -> Result<UnitRecord, WireError> {
+        let o = Obj::any(j, codec::Path::Root("unit record"))?;
+        let mut memo = Vec::new();
+        if let Some(rows) = o.raw("memo") {
+            let at = codec::Path::Root("unit record").key("memo");
+            for row in rows.as_arr().ok_or_else(|| expected(at, "an array"))? {
+                memo.extend(read_memo_row(row, at)?);
             }
         }
-    }
-    Ok(UnitRecord {
-        unit,
-        lo: field("lo")?,
-        hi: field("hi")?,
-        front: points("front")?,
-        top: j.get("top").map(|_| points("top")).transpose()?,
-        hits: field("hits")?,
-        misses: field("misses")?,
-        memo,
-    })
+        Ok(UnitRecord {
+            unit: o.req("unit")?,
+            lo: o.req("lo")?,
+            hi: o.req("hi")?,
+            front: o.opt("front")?.unwrap_or_default(),
+            top: o.opt("top")?,
+            hits: o.req("hits")?,
+            misses: o.req("misses")?,
+            memo,
+        })
+    };
+    read().map_err(|e| e.message)
 }
 
 /// Append-only journal writer; every line is flushed before the call
@@ -343,7 +301,7 @@ pub fn read_journal(path: &Path) -> Result<(JournalHeader, Vec<UnitRecord>), Str
             if j.get("journal").is_some() {
                 Err("unexpected second header".to_string())
             } else {
-                parse_unit(&j)
+                unit_record_from_json(&j)
             }
         });
         match parsed {

@@ -12,10 +12,7 @@
 //!
 //! * [`request`] — the typed request schema: a strict parser
 //!   ([`request::Request::parse`]) and a canonical emitter, related by
-//!   `parse(emit(r)) == r`, both written through one field codec (a
-//!   typed value codec, a strict object reader that names each field by
-//!   its dotted path, an optional-field writer, and one
-//!   [`request::Label`] table per closed label set).
+//!   `parse(emit(r)) == r`, both through the crate's one field codec.
 //! * [`fair`] — fair-share chunk scheduling: one [`fair::FairShare`]
 //!   pool rations the engine's chunk evaluations evenly across every
 //!   sweep currently running, so a large request cannot starve small

@@ -350,7 +350,7 @@ impl Wire for DistSpec {
 
     fn read(j: &Json, at: Path<'_>) -> Result<DistSpec, WireError> {
         let o = Obj::open(j, at, &["kind", "scale", "std", "b"])?;
-        let kind = o.str("kind")?;
+        let kind: String = o.req("kind")?;
         let Some(&(_, key, make)) = DIST_KINDS.iter().find(|(label, _, _)| *label == kind) else {
             let kinds: Vec<&str> = DIST_KINDS.iter().map(|(label, _, _)| *label).collect();
             return Err(WireError::bad_request(format!(
@@ -471,12 +471,12 @@ impl ScenarioSpec {
             Some(TileSel::Big) => Scenario::big_tile(),
             _ => Scenario::small_tile(),
         };
-        if let Some(w) = self.w {
-            s = s.w(w);
-        }
-        if let Some(p) = self.software_precision {
-            s = s.software_precision(p);
-        }
+        // `field.into_iter().fold(s, setter)` applies a field only when set.
+        s = self.w.into_iter().fold(s, Scenario::w);
+        s = self
+            .software_precision
+            .into_iter()
+            .fold(s, Scenario::software_precision);
         if self.cluster.is_some() || self.buffer_depth.is_some() {
             // Written raw, not through the asserting scenario setters: a
             // misfit value must reach `checked_space` as a `bad_request`
@@ -488,27 +488,20 @@ impl ScenarioSpec {
                 ..tile
             });
         }
-        if let Some(n) = self.n_tiles {
-            s = s.n_tiles(n);
-        }
-        match self.workload {
-            Some(WorkloadSpec::Zoo(z)) => s = s.workload(z.to_zoo()),
-            Some(WorkloadSpec::Synthetic(c, sp, d)) => s = s.synthetic(c, sp, d),
-            None => {}
-        }
-        if let Some(p) = self.pass {
-            s = s.pass(p.to_pass());
-        }
+        s = self.n_tiles.into_iter().fold(s, Scenario::n_tiles);
+        s = match self.workload {
+            Some(WorkloadSpec::Zoo(z)) => s.workload(z.to_zoo()),
+            Some(WorkloadSpec::Synthetic(c, sp, d)) => s.synthetic(c, sp, d),
+            None => s,
+        };
+        s = self.pass.into_iter().fold(s, |s, p| s.pass(p.to_pass()));
         if let Some((act, wgt)) = self.dists {
             s = s.distributions(act.to_dist(), wgt.to_dist());
         }
-        if let Some(seed) = self.seed {
-            s = s.seed(seed);
-        }
-        if let Some(steps) = self.sample_steps {
-            s = s.sample_steps(steps);
-        }
-        s
+        s = self.seed.into_iter().fold(s, Scenario::seed);
+        self.sample_steps
+            .into_iter()
+            .fold(s, Scenario::sample_steps)
     }
 }
 
@@ -553,6 +546,11 @@ macro_rules! axis_specs {
                     $(AxisSpec::$var(v) => v.len(),)*
                     AxisSpec::ScheduleMask(layers) => 1usize << layers,
                 }
+            }
+
+            /// Whether the axis has no values (rejected by the parser).
+            pub fn is_empty(&self) -> bool {
+                self.len() == 0
             }
 
             /// Build the exploration axis.
@@ -611,13 +609,6 @@ axis_specs! {
     },
 }
 
-impl AxisSpec {
-    /// Whether the axis has no values (rejected by the parser).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 impl Wire for AxisSpec {
     fn write(&self) -> Json {
         let out = Fields::default().put("axis", self.name());
@@ -626,7 +617,8 @@ impl Wire for AxisSpec {
 
     fn read(j: &Json, at: Path<'_>) -> Result<AxisSpec, WireError> {
         let o = Obj::open(j, at, &["axis", "values", "grid", "log2", "layers"])?;
-        let name = o.str("axis")?;
+        let name: String = o.req("axis")?;
+        let name = name.as_str();
         if name == "schedule_mask" {
             o.only(&["axis", "layers"])?;
             let layers = o.req("layers")?;
@@ -719,7 +711,7 @@ impl Wire for SampleSpec {
         let o = Obj::open(j, at, &["count", "seed"])?;
         Ok(SampleSpec {
             count: o.nonzero("count")?.ok_or_else(|| o.missing("count"))?,
-            seed: o.or("seed", || 0)?,
+            seed: o.opt("seed")?.unwrap_or_default(),
         })
     }
 }
@@ -936,11 +928,11 @@ impl Request {
         let j = Json::parse(line.trim()).map_err(|e| {
             WireError::parse(format!("invalid JSON at byte {}: {}", e.offset, e.message))
         })?;
-        let o = Obj::any(&j, Path::Root)?;
+        let o = Obj::any(&j, Path::Root("request"))?;
         let kind = o
             .raw("req")
             .ok_or_else(|| WireError::parse("request is missing \"req\""))?;
-        Ok(match str_at(kind, Path::Root.key("req"))? {
+        Ok(match str_at(kind, Path::Root("request").key("req"))? {
             "list" => {
                 o.only(&[])?;
                 Request::List
@@ -952,7 +944,7 @@ impl Request {
             "eval" => {
                 o.only(&["scenario", "tag"])?;
                 Request::Eval(EvalReq {
-                    scenario: o.or("scenario", ScenarioSpec::default)?,
+                    scenario: o.opt("scenario")?.unwrap_or_default(),
                     tag: o.opt("tag")?,
                 })
             }
@@ -1021,8 +1013,8 @@ fn space_fields(
 /// scenario comes later, after each kind's own knobs: the reading order
 /// decides which error a line with several is refused for.
 fn read_axes_and_objectives(o: &Obj<'_>) -> Result<(Vec<AxisSpec>, Vec<String>), WireError> {
-    let axes = o.or("axes", Vec::new)?;
-    let objectives = o.or("objectives", default_objectives)?;
+    let axes = o.opt("axes")?.unwrap_or_default();
+    let objectives = o.opt("objectives")?.unwrap_or_else(default_objectives);
     resolve_objective_names(&objectives)?;
     Ok((axes, objectives))
 }
@@ -1046,7 +1038,7 @@ fn read_sweep(o: &Obj<'_>) -> Result<SweepReq, WireError> {
         objectives,
         top_k: o.opt("top_k")?,
         sample: o.opt("sample")?,
-        base: o.or("base", ScenarioSpec::default)?,
+        base: o.opt("base")?.unwrap_or_default(),
         max_points: o.opt("max_points")?,
         max_ms: o.opt("max_ms")?,
         chunk: o.opt("chunk")?,
@@ -1088,7 +1080,7 @@ fn read_search(o: &Obj<'_>) -> Result<SearchReq, WireError> {
         rungs,
         keep,
         max_evals: o.nonzero("max_evals")?,
-        base: o.or("base", ScenarioSpec::default)?,
+        base: o.opt("base")?.unwrap_or_default(),
         seed: o.opt("seed")?,
         max_ms: o.opt("max_ms")?,
         chunk: o.opt("chunk")?,

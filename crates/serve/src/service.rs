@@ -392,39 +392,27 @@ impl Service {
         let _permit = self.admission.acquire(&token)?;
         self.counters.sweeps.fetch_add(1, Ordering::Relaxed);
 
-        let ticket = self.fair.ticket(token.clone());
         let start = self.backend.cache_stats();
         let finished = AtomicBool::new(false);
         let points_done = AtomicU64::new(0);
-        let sink = FnSink(|event: &SweepEvent<'_>| match event {
-            // The engine reports the shared backend's *cumulative*
-            // counters; on a multi-tenant backend only this request's
-            // delta is meaningful, and we emit it ourselves below.
-            SweepEvent::BackendStats { .. } => {}
-            SweepEvent::ChunkFinished {
-                points_done: done, ..
-            } => {
-                points_done.store(*done, Ordering::Relaxed);
-                emit(&sweep_event_json(event));
+        let sink = FnSink(|event: &SweepEvent<'_>| {
+            match event {
+                // The engine reports the shared backend's *cumulative*
+                // counters; on a multi-tenant backend only this request's
+                // delta is meaningful, and we emit it ourselves below.
+                SweepEvent::BackendStats { .. } => return,
+                SweepEvent::ChunkFinished {
+                    points_done: done, ..
+                }
+                | SweepEvent::Cancelled {
+                    points_done: done, ..
+                } => points_done.store(*done, Ordering::Relaxed),
+                SweepEvent::Finished { .. } => finished.store(true, Ordering::Relaxed),
+                _ => {}
             }
-            SweepEvent::Finished { .. } => {
-                finished.store(true, Ordering::Relaxed);
-                emit(&sweep_event_json(event));
-            }
-            SweepEvent::Cancelled {
-                points_done: done, ..
-            } => {
-                points_done.store(*done, Ordering::Relaxed);
-                emit(&sweep_event_json(event));
-            }
-            _ => emit(&sweep_event_json(event)),
+            emit(&sweep_event_json(event));
         });
-        let engine = SweepEngine::new()
-            .threads(self.limits.engine_threads)
-            .chunk_size(req.chunk.unwrap_or(self.limits.default_chunk))
-            .backend(self.backend.clone())
-            .cancel_token(token.clone())
-            .governor(ticket);
+        let engine = self.engine(&token, req.chunk);
         let fold = StreamingFold {
             folds,
             every: req
@@ -432,7 +420,7 @@ impl Service {
                 .unwrap_or(self.limits.default_progress_every),
             emit,
         };
-        let (front, top) = match &req.sample {
+        let fronts = match &req.sample {
             Some(s) => engine.run_ids(&space, &space.sample_ids(s.count, s.seed), fold, &sink),
             None => engine.run(&space, fold, &sink),
         };
@@ -450,13 +438,7 @@ impl Service {
         self.counters
             .points_swept
             .fetch_add(points, Ordering::Relaxed);
-        emit(&wire::sweep_result_json(
-            req.tag.as_deref(),
-            points,
-            &req.objectives,
-            &front,
-            top.as_deref(),
-        ));
+        emit(&wire::sweep_result(req, points, &fronts));
         Ok(())
     }
 
@@ -482,17 +464,9 @@ impl Service {
         let _permit = self.admission.acquire(&token)?;
         self.counters.searches.fetch_add(1, Ordering::Relaxed);
 
-        let space_points = req.space_points();
-        let ticket = self.fair.ticket(token.clone());
         let start = self.backend.cache_stats();
-        let engine = SweepEngine::new()
-            .threads(self.limits.engine_threads)
-            .chunk_size(req.chunk.unwrap_or(self.limits.default_chunk))
-            .backend(self.backend.clone())
-            .cancel_token(token.clone())
-            .governor(ticket);
         let out = SearchEngine::new(cfg)
-            .engine(engine)
+            .engine(self.engine(&token, req.chunk))
             .run(&space, &NullSweepSink);
         self.emit_cache_delta(start.as_ref(), emit);
 
@@ -511,13 +485,19 @@ impl Service {
         self.counters
             .points_searched
             .fetch_add(out.evaluated, Ordering::Relaxed);
-        emit(&wire::search_result_json(
-            req.tag.as_deref(),
-            space_points,
-            &req.objectives,
-            &out,
-        ));
+        emit(&wire::search_result(req, &out));
         Ok(())
+    }
+
+    /// An engine on the shared backend, stopped by `token`, its chunks
+    /// rationed by a fair-share ticket of its own.
+    fn engine(&self, token: &CancelToken, chunk: Option<usize>) -> SweepEngine {
+        SweepEngine::new()
+            .threads(self.limits.engine_threads)
+            .chunk_size(chunk.unwrap_or(self.limits.default_chunk))
+            .backend(self.backend.clone())
+            .cancel_token(token.clone())
+            .governor(self.fair.ticket(token.clone()))
     }
 
     /// Min-combine the server's and the request's wall-clock budgets
@@ -594,12 +574,8 @@ impl Fold for StreamingFold<'_> {
 pub fn reference_sweep_result(req: &SweepReq, threads: usize) -> Result<Json, WireError> {
     let fold = req.folds()?;
     let space = checked_space(req.to_space())?;
-    let backend: Arc<dyn CostBackend> = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
-    let engine = SweepEngine::new()
-        .threads(threads.max(1))
-        .chunk_size(req.chunk.unwrap_or(Limits::default().default_chunk))
-        .backend(backend);
-    let (front, top) = match &req.sample {
+    let engine = reference_engine(threads, req.chunk);
+    let fronts = match &req.sample {
         Some(s) => engine.run_ids(
             &space,
             &space.sample_ids(s.count, s.seed),
@@ -608,13 +584,17 @@ pub fn reference_sweep_result(req: &SweepReq, threads: usize) -> Result<Json, Wi
         ),
         None => engine.run(&space, fold, &NullSweepSink),
     };
-    Ok(wire::sweep_result_json(
-        req.tag.as_deref(),
-        req.points(),
-        &req.objectives,
-        &front,
-        top.as_deref(),
-    ))
+    Ok(wire::sweep_result(req, req.points(), &fronts))
+}
+
+/// A fresh in-process engine at `threads` threads: its own memoized
+/// batched backend, no sharing, no governor, no cancellation — the
+/// byte-identity oracles' engine.
+pub(crate) fn reference_engine(threads: usize, chunk: Option<usize>) -> SweepEngine {
+    SweepEngine::new()
+        .threads(threads.max(1))
+        .chunk_size(chunk.unwrap_or(Limits::default().default_chunk))
+        .backend(Arc::new(Memoized::new(Arc::new(AnalyticBatched::new()))))
 }
 
 /// Resolve a search request's knobs onto the library defaults — shared
@@ -622,21 +602,11 @@ pub fn reference_sweep_result(req: &SweepReq, threads: usize) -> Result<Json, Wi
 /// never drift.
 fn search_config(req: &SearchReq) -> Result<SearchConfig, WireError> {
     let mut cfg = SearchConfig::new(req.resolve_objectives()?);
-    if let Some(v) = req.initial {
-        cfg.initial = v;
-    }
-    if let Some(v) = req.rungs {
-        cfg.rungs = v;
-    }
-    if let Some(v) = req.keep {
-        cfg.keep_fraction = v;
-    }
-    if let Some(v) = req.max_evals {
-        cfg.max_evals = v;
-    }
-    if let Some(v) = req.seed {
-        cfg.seed = v;
-    }
+    cfg.initial = req.initial.unwrap_or(cfg.initial);
+    cfg.rungs = req.rungs.unwrap_or(cfg.rungs);
+    cfg.keep_fraction = req.keep.unwrap_or(cfg.keep_fraction);
+    cfg.max_evals = req.max_evals.unwrap_or(cfg.max_evals);
+    cfg.seed = req.seed.unwrap_or(cfg.seed);
     Ok(cfg)
 }
 
@@ -646,21 +616,10 @@ fn search_config(req: &SearchReq) -> Result<SearchConfig, WireError> {
 /// `result` line the server would emit. Guided search promises the same
 /// bytes at any thread count; the e2e tests hold the served line to it.
 pub fn reference_search_result(req: &SearchReq, threads: usize) -> Result<Json, WireError> {
-    let cfg = search_config(req)?;
-    let backend: Arc<dyn CostBackend> = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
-    let engine = SweepEngine::new()
-        .threads(threads.max(1))
-        .chunk_size(req.chunk.unwrap_or(Limits::default().default_chunk))
-        .backend(backend);
-    let out = SearchEngine::new(cfg)
-        .engine(engine)
+    let out = SearchEngine::new(search_config(req)?)
+        .engine(reference_engine(threads, req.chunk))
         .run(&checked_space(req.to_space())?, &NullSweepSink);
-    Ok(wire::search_result_json(
-        req.tag.as_deref(),
-        req.space_points(),
-        &req.objectives,
-        &out,
-    ))
+    Ok(wire::search_result(req, &out))
 }
 
 #[cfg(test)]

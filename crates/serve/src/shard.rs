@@ -351,9 +351,9 @@ pub fn run_sharded(
     let total = space.len();
     let unit_points = cfg.unit_points.max(1);
     let units = partition_units(total, unit_points);
-    let request_line = Request::Sweep(req.clone()).to_line();
+    let sweep_json = Request::Sweep(req.clone()).to_json();
     let header = JournalHeader {
-        request_line,
+        request_line: sweep_json.to_string_compact(),
         unit_points,
         total_points: total,
         units: units.len() as u64,
@@ -406,7 +406,6 @@ pub fn run_sharded(
         .filter(|u| !done.contains(&(u.index as u64)))
         .copied()
         .collect();
-    let sweep_json = Request::Sweep(req.clone()).to_json();
 
     let mut units_run = 0u64;
     let (mut hits, mut misses) = (0u64, 0u64);
@@ -601,14 +600,7 @@ pub fn run_sharded(
         ("hits", Json::from(hits)),
         ("misses", Json::from(misses)),
     ]));
-    let (front, top) = merge.finish();
-    Ok(wire::sweep_result_json(
-        req.tag.as_deref(),
-        total,
-        &req.objectives,
-        &front,
-        top.as_deref(),
-    ))
+    Ok(wire::sweep_result(req, total, &merge.finish()))
 }
 
 /// Preload a [`Memoized`] backend from a journal's memo entries;
@@ -627,11 +619,7 @@ pub fn warm_start(memo: &Memoized, path: &std::path::Path) -> Result<(usize, usi
 /// contract without process management).
 pub fn run_units_in_process(req: &SweepReq, unit_points: u64) -> Result<Json, WireError> {
     let space = crate::service::checked_space(req.to_space())?;
-    let backend: Arc<dyn CostBackend> = Arc::new(Memoized::new(Arc::new(AnalyticBatched::new())));
-    let engine = SweepEngine::new()
-        .threads(1)
-        .chunk_size(req.chunk.unwrap_or(Limits::default().default_chunk))
-        .backend(backend);
+    let engine = crate::service::reference_engine(1, req.chunk);
     let (pareto, top) = req.folds()?;
     let mut merge = ShardMerge::new(pareto, top);
     for unit in partition_units(space.len(), unit_points) {
@@ -639,14 +627,7 @@ pub fn run_units_in_process(req: &SweepReq, unit_points: u64) -> Result<Json, Wi
         let (front, top) = engine.run_range(&space, unit.lo, unit.hi, fold, &NullSweepSink);
         merge.offer(unit.index, UnitFold { front, top });
     }
-    let (front, top) = merge.finish();
-    Ok(wire::sweep_result_json(
-        req.tag.as_deref(),
-        space.len(),
-        &req.objectives,
-        &front,
-        top.as_deref(),
-    ))
+    Ok(wire::sweep_result(req, space.len(), &merge.finish()))
 }
 
 #[cfg(test)]

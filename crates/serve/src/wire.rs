@@ -8,7 +8,8 @@
 //! adds the serve-only events: `catalog`, `stats`, `pareto_update`,
 //! `result` (kinds `eval` and `sweep`), `error`, and the terminal `done`.
 
-use crate::request::{AxisSpec, WireError};
+use crate::codec::Fields;
+use crate::request::{AxisSpec, SearchReq, SweepReq, WireError};
 use crate::service::{JournalInfo, MetricsSnapshot};
 use mpipu_bench::json::Json;
 use mpipu_bench::sweep_wire::SWEEP_WIRE_VERSION;
@@ -41,30 +42,24 @@ pub fn pareto_update_json(seen: u64, frontier_size: usize) -> Json {
 /// The `list` response: experiments, the wire's axes and objectives,
 /// backend name.
 pub fn catalog_json(experiments: &[(String, String)], backend: &str) -> Json {
-    Json::obj([
-        ("event", Json::str("catalog")),
-        ("wire_version", Json::from(SWEEP_WIRE_VERSION)),
-        (
-            "experiments",
-            Json::Arr(
-                experiments
-                    .iter()
-                    .map(|(name, title)| {
-                        Json::obj([("name", Json::str(name)), ("title", Json::str(title))])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
+    let experiments = experiments.iter().map(|(name, title)| {
+        Fields::default()
+            .put("name", name)
+            .put("title", title)
+            .into()
+    });
+    let objectives = objectives::ALL.iter().map(|o| Json::str(o.name));
+    Fields::default()
+        .put("event", "catalog")
+        .put("wire_version", &SWEEP_WIRE_VERSION)
+        .json("experiments", Json::Arr(experiments.collect()))
+        .json(
             "axes",
             Json::Arr(AxisSpec::NAMES.iter().map(|a| Json::str(*a)).collect()),
-        ),
-        (
-            "objectives",
-            Json::Arr(objectives::ALL.iter().map(|o| Json::str(o.name)).collect()),
-        ),
-        ("backend", Json::str(backend)),
-    ])
+        )
+        .json("objectives", Json::Arr(objectives.collect()))
+        .put("backend", backend)
+        .into()
 }
 
 /// The `stats` response: server counters, shared-cache counters, and —
@@ -75,89 +70,71 @@ pub fn stats_json(
     cache: Option<&CacheStats>,
     journal: Option<&JournalInfo>,
 ) -> Json {
-    let mut fields = vec![
-        ("event".to_string(), Json::str("stats")),
-        ("requests".to_string(), Json::from(m.requests)),
-        ("evals".to_string(), Json::from(m.evals)),
-        ("sweeps".to_string(), Json::from(m.sweeps)),
-        ("searches".to_string(), Json::from(m.searches)),
-        (
-            "sweeps_cancelled".to_string(),
-            Json::from(m.sweeps_cancelled),
-        ),
-        ("points_swept".to_string(), Json::from(m.points_swept)),
-        ("points_searched".to_string(), Json::from(m.points_searched)),
-        ("errors".to_string(), Json::from(m.errors)),
-        ("active_sweeps".to_string(), Json::from(m.active_sweeps)),
-    ];
+    let mut fields = Fields::default()
+        .put("event", "stats")
+        .put("requests", &m.requests)
+        .put("evals", &m.evals)
+        .put("sweeps", &m.sweeps)
+        .put("searches", &m.searches)
+        .put("sweeps_cancelled", &m.sweeps_cancelled)
+        .put("points_swept", &m.points_swept)
+        .put("points_searched", &m.points_searched)
+        .put("errors", &m.errors)
+        .put("active_sweeps", &m.active_sweeps);
     if let Some(c) = cache {
-        fields.push((
-            "cache".to_string(),
-            Json::obj([
-                ("inner", Json::str(c.inner)),
-                ("hits", Json::from(c.hits)),
-                ("misses", Json::from(c.misses)),
-                ("entries", Json::from(c.entries)),
-            ]),
-        ));
+        let cache = Fields::default()
+            .put("inner", c.inner)
+            .put("hits", &c.hits)
+            .put("misses", &c.misses)
+            .put("entries", &c.entries);
+        fields = fields.json("cache", cache.into());
     }
     if let Some(j) = journal {
-        fields.push((
-            "journal".to_string(),
-            Json::obj([
-                ("path", Json::str(&j.path)),
-                ("units", Json::from(j.units)),
-                ("entries", Json::from(j.entries)),
-                ("load_ms", Json::from(j.load_ms)),
-            ]),
-        ));
+        let journal = Fields::default()
+            .put("path", &j.path)
+            .put("units", &j.units)
+            .put("entries", &j.entries)
+            .put("load_ms", &j.load_ms);
+        fields = fields.json("journal", journal.into());
     }
-    Json::Obj(fields)
+    fields.into()
+}
+
+/// A `result` line's opening fields: its kind and the client's tag.
+fn result_fields(kind: &str, tag: Option<&str>) -> Fields {
+    let fields = Fields::default().put("event", "result").put("kind", kind);
+    match tag {
+        Some(tag) => fields.put("tag", tag),
+        None => fields,
+    }
 }
 
 /// The `eval` result line of one priced design point.
 pub fn eval_result_json(tag: Option<&str>, eval: &PointEval) -> Json {
-    let mut fields = vec![
-        ("event".to_string(), Json::str("result")),
-        ("kind".to_string(), Json::str("eval")),
-    ];
-    if let Some(tag) = tag {
-        fields.push(("tag".to_string(), Json::str(tag)));
-    }
     let m = &eval.metrics;
-    fields.extend([
-        ("cycles".to_string(), Json::from(eval.cycles)),
-        (
-            "baseline_cycles".to_string(),
-            Json::from(eval.baseline_cycles),
-        ),
-        ("normalized".to_string(), Json::Num(eval.normalized)),
-        ("fp_fraction".to_string(), Json::Num(eval.fp_fraction)),
-        (
-            "metrics".to_string(),
-            Json::obj([
-                ("int_tops_per_mm2", Json::Num(m.int_tops_per_mm2)),
-                ("int_tops_per_w", Json::Num(m.int_tops_per_w)),
-                ("fp_tflops_per_mm2", Json::Num(m.fp_tflops_per_mm2)),
-                ("fp_tflops_per_w", Json::Num(m.fp_tflops_per_w)),
-            ]),
-        ),
-    ]);
-    Json::Obj(fields)
+    let metrics = Fields::default()
+        .put("int_tops_per_mm2", &m.int_tops_per_mm2)
+        .put("int_tops_per_w", &m.int_tops_per_w)
+        .put("fp_tflops_per_mm2", &m.fp_tflops_per_mm2)
+        .put("fp_tflops_per_w", &m.fp_tflops_per_w);
+    result_fields("eval", tag)
+        .put("cycles", &eval.cycles)
+        .put("baseline_cycles", &eval.baseline_cycles)
+        .put("normalized", &eval.normalized)
+        .put("fp_fraction", &eval.fp_fraction)
+        .json("metrics", metrics.into())
+        .into()
 }
 
-fn frontier_point_json(p: &FrontierPoint) -> Json {
-    Json::obj([
-        ("id", Json::from(p.id.0)),
-        (
-            "labels",
-            Json::Arr(p.labels.iter().map(Json::str).collect()),
-        ),
-        (
-            "values",
-            Json::Arr(p.values.iter().map(|v| Json::Num(*v)).collect()),
-        ),
-    ])
+fn points_json(points: &[FrontierPoint]) -> Json {
+    let point = |p: &FrontierPoint| {
+        Fields::default()
+            .put("id", &p.id.0)
+            .put("labels", &p.labels)
+            .put("values", &p.values)
+            .into()
+    };
+    Json::Arr(points.iter().map(point).collect())
 }
 
 /// The `sweep` result line: point count, objective names, the Pareto
@@ -169,32 +146,36 @@ pub fn sweep_result_json(
     front: &[FrontierPoint],
     top: Option<&[FrontierPoint]>,
 ) -> Json {
-    let mut fields = vec![
-        ("event".to_string(), Json::str("result")),
-        ("kind".to_string(), Json::str("sweep")),
-    ];
-    if let Some(tag) = tag {
-        fields.push(("tag".to_string(), Json::str(tag)));
+    let fields = result_fields("sweep", tag)
+        .put("points", &points)
+        .put("objectives", objectives)
+        .put("frontier_size", &front.len())
+        .json("frontier", points_json(front));
+    match top {
+        Some(top) => fields.json("top", points_json(top)),
+        None => fields,
     }
-    fields.extend([
-        ("points".to_string(), Json::from(points)),
-        (
-            "objectives".to_string(),
-            Json::Arr(objectives.iter().map(Json::str).collect()),
-        ),
-        ("frontier_size".to_string(), Json::from(front.len())),
-        (
-            "frontier".to_string(),
-            Json::Arr(front.iter().map(frontier_point_json).collect()),
-        ),
-    ]);
-    if let Some(top) = top {
-        fields.push((
-            "top".to_string(),
-            Json::Arr(top.iter().map(frontier_point_json).collect()),
-        ));
-    }
-    Json::Obj(fields)
+    .into()
+}
+
+/// A finished sweep's Pareto frontier and optional top-k selection —
+/// the output of [`SweepReq::folds`].
+pub type Fronts = (Vec<FrontierPoint>, Option<Vec<FrontierPoint>>);
+
+/// [`sweep_result_json`] for `req`'s finished folds over `points` points.
+pub fn sweep_result(req: &SweepReq, points: u64, (front, top): &Fronts) -> Json {
+    sweep_result_json(
+        req.tag.as_deref(),
+        points,
+        &req.objectives,
+        front,
+        top.as_deref(),
+    )
+}
+
+/// [`search_result_json`] for `req`'s finished search.
+pub fn search_result(req: &SearchReq, out: &SearchOutcome) -> Json {
+    search_result_json(req.tag.as_deref(), req.space_points(), &req.objectives, out)
 }
 
 /// The `search` result line: the declared space size, the budget
@@ -208,50 +189,26 @@ pub fn search_result_json(
     objectives: &[String],
     out: &SearchOutcome,
 ) -> Json {
-    let mut fields = vec![
-        ("event".to_string(), Json::str("result")),
-        ("kind".to_string(), Json::str("search")),
-    ];
-    if let Some(tag) = tag {
-        fields.push(("tag".to_string(), Json::str(tag)));
-    }
-    fields.extend([
-        ("space_points".to_string(), Json::from(space_points)),
-        ("evaluated".to_string(), Json::from(out.evaluated)),
-        ("proposed".to_string(), Json::from(out.proposed)),
-        (
-            "rungs".to_string(),
-            Json::Arr(
-                out.rungs
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("rung", Json::from(r.rung)),
-                            ("proposed", Json::from(r.proposed)),
-                            ("evaluated", Json::from(r.evaluated)),
-                            ("frontier", Json::from(r.frontier)),
-                            ("survivors", Json::from(r.survivors)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("polish_rounds".to_string(), Json::from(out.polish_rounds)),
-        (
-            "polish_evaluated".to_string(),
-            Json::from(out.polish_evaluated),
-        ),
-        (
-            "objectives".to_string(),
-            Json::Arr(objectives.iter().map(Json::str).collect()),
-        ),
-        ("frontier_size".to_string(), Json::from(out.frontier.len())),
-        (
-            "frontier".to_string(),
-            Json::Arr(out.frontier.iter().map(frontier_point_json).collect()),
-        ),
-    ]);
-    Json::Obj(fields)
+    let rungs = out.rungs.iter().map(|r| {
+        Fields::default()
+            .put("rung", &r.rung)
+            .put("proposed", &r.proposed)
+            .put("evaluated", &r.evaluated)
+            .put("frontier", &r.frontier)
+            .put("survivors", &r.survivors)
+            .into()
+    });
+    result_fields("search", tag)
+        .put("space_points", &space_points)
+        .put("evaluated", &out.evaluated)
+        .put("proposed", &out.proposed)
+        .json("rungs", Json::Arr(rungs.collect()))
+        .put("polish_rounds", &out.polish_rounds)
+        .put("polish_evaluated", &out.polish_evaluated)
+        .put("objectives", objectives)
+        .put("frontier_size", &out.frontier.len())
+        .json("frontier", points_json(&out.frontier))
+        .into()
 }
 
 #[cfg(test)]
