@@ -173,7 +173,12 @@ fn parse_header(j: &Json) -> Result<JournalHeader, String> {
 
 /// One unit's wire line.
 pub fn unit_json(r: &UnitRecord) -> Json {
-    let fields = Fields::default()
+    unit_fields(Fields::default(), r)
+}
+
+/// A unit record's fields, after `head` (the worker wire's `event` tag).
+pub(crate) fn unit_fields(head: Fields, r: &UnitRecord) -> Json {
+    let fields = head
         .put("unit", &r.unit)
         .put("lo", &r.lo)
         .put("hi", &r.hi)

@@ -471,12 +471,12 @@ impl ScenarioSpec {
             Some(TileSel::Big) => Scenario::big_tile(),
             _ => Scenario::small_tile(),
         };
-        // `field.into_iter().fold(s, setter)` applies a field only when set.
-        s = self.w.into_iter().fold(s, Scenario::w);
-        s = self
-            .software_precision
-            .into_iter()
-            .fold(s, Scenario::software_precision);
+        if let Some(w) = self.w {
+            s = s.w(w);
+        }
+        if let Some(p) = self.software_precision {
+            s = s.software_precision(p);
+        }
         if self.cluster.is_some() || self.buffer_depth.is_some() {
             // Written raw, not through the asserting scenario setters: a
             // misfit value must reach `checked_space` as a `bad_request`
@@ -488,20 +488,27 @@ impl ScenarioSpec {
                 ..tile
             });
         }
-        s = self.n_tiles.into_iter().fold(s, Scenario::n_tiles);
-        s = match self.workload {
-            Some(WorkloadSpec::Zoo(z)) => s.workload(z.to_zoo()),
-            Some(WorkloadSpec::Synthetic(c, sp, d)) => s.synthetic(c, sp, d),
-            None => s,
-        };
-        s = self.pass.into_iter().fold(s, |s, p| s.pass(p.to_pass()));
+        if let Some(n) = self.n_tiles {
+            s = s.n_tiles(n);
+        }
+        match self.workload {
+            Some(WorkloadSpec::Zoo(z)) => s = s.workload(z.to_zoo()),
+            Some(WorkloadSpec::Synthetic(c, sp, d)) => s = s.synthetic(c, sp, d),
+            None => {}
+        }
+        if let Some(p) = self.pass {
+            s = s.pass(p.to_pass());
+        }
         if let Some((act, wgt)) = self.dists {
             s = s.distributions(act.to_dist(), wgt.to_dist());
         }
-        s = self.seed.into_iter().fold(s, Scenario::seed);
-        self.sample_steps
-            .into_iter()
-            .fold(s, Scenario::sample_steps)
+        if let Some(seed) = self.seed {
+            s = s.seed(seed);
+        }
+        if let Some(steps) = self.sample_steps {
+            s = s.sample_steps(steps);
+        }
+        s
     }
 }
 

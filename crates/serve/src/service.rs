@@ -290,25 +290,25 @@ impl Service {
         emit: &(dyn Fn(&Json) + Sync),
     ) -> bool {
         match Request::parse(line) {
-            Ok(req) => match catch_unwind(AssertUnwindSafe(|| self.handle(&req, cancel, emit))) {
-                Ok(ok) => ok,
-                Err(_) => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    emit(&wire::error_json(&WireError::internal(
-                        "request handler panicked; see server log",
-                    )));
-                    emit(&wire::done_json(false));
-                    false
-                }
-            },
+            Ok(req) => catch_unwind(AssertUnwindSafe(|| self.handle(&req, cancel, emit)))
+                .unwrap_or_else(|_| {
+                    let err = WireError::internal("request handler panicked; see server log");
+                    self.refuse(&err, emit)
+                }),
             Err(err) => {
                 self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                emit(&wire::error_json(&err));
-                emit(&wire::done_json(false));
-                false
+                self.refuse(&err, emit)
             }
         }
+    }
+
+    /// End a response with `err`: count it, then emit the `error` line
+    /// and the terminal `done`. Returns the `done` flag (`false`).
+    fn refuse(&self, err: &WireError, emit: &(dyn Fn(&Json) + Sync)) -> bool {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        emit(&wire::error_json(err));
+        emit(&wire::done_json(false));
+        false
     }
 
     /// Serve one parsed request, emitting its response events (ending
@@ -342,12 +342,7 @@ impl Service {
                 emit(&wire::done_json(true));
                 true
             }
-            Err(err) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                emit(&wire::error_json(&err));
-                emit(&wire::done_json(false));
-                false
-            }
+            Err(err) => self.refuse(&err, emit),
         }
     }
 

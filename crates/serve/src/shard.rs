@@ -31,8 +31,9 @@
 //! Sampled sweeps (`sample`) fold in draw order, not id order, so they
 //! cannot shard; [`run_sharded`] rejects them up front.
 
+use crate::codec::Fields;
 use crate::journal::{
-    memo_entries, read_journal, unit_json, unit_record_from_json, JournalHeader, JournalWriter,
+    memo_entries, read_journal, unit_fields, unit_record_from_json, JournalHeader, JournalWriter,
     SnapshotPoint, UnitRecord,
 };
 use crate::request::{Request, SweepReq, WireError};
@@ -110,11 +111,7 @@ fn unit_request_json(unit: &UnitRange, sweep: &Json, memo: bool) -> Json {
 /// A worker's `unit_result` line: the journal record form plus the
 /// `event` tag (which [`unit_record_from_json`] ignores on the way in).
 fn unit_result_json(record: &UnitRecord) -> Json {
-    let Json::Obj(mut fields) = unit_json(record) else {
-        unreachable!("unit_json emits an object");
-    };
-    fields.insert(0, ("event".to_string(), Json::str("unit_result")));
-    Json::Obj(fields)
+    unit_fields(Fields::default().put("event", "unit_result"), record)
 }
 
 fn snapshot_of(points: &[FrontierPoint]) -> Vec<SnapshotPoint> {
