@@ -352,26 +352,21 @@ impl ParamSpace {
         Ok(())
     }
 
-    /// Check that every point of the space can be priced: its schedules
-    /// fit its workloads ([`ParamSpace::check_schedules`]) and its
-    /// geometry is sound. Every workload — the base scenario's or a
-    /// [`Axis::Workload`] value — must stay within [`MAX_WORKLOAD_MACS`],
-    /// and a synthetic stack needs every dimension. Every cluster size — the base tile's, a
-    /// [`crate::TileChoice`]'s own, or a [`Axis::Cluster`] value — must
-    /// divide the IPU count of every tile it reaches; buffer depths and
-    /// tile counts must be at least 1, and no tile count may overflow a
-    /// reached tile's K unrolling. Axis values are checked per axis,
-    /// never by enumerating their product. The sweep engine refuses
-    /// spaces that fail; hosts taking spaces from users (the daemon)
-    /// call this to reject them up front.
+    /// Check that every point of the space can be priced: its geometry is
+    /// sound and its schedules fit its workloads
+    /// ([`ParamSpace::check_schedules`]). Every workload — the base
+    /// scenario's or a [`Axis::Workload`] value — must stay within
+    /// [`MAX_WORKLOAD_MACS`], and a synthetic stack needs every dimension.
+    /// Every cluster size — the base tile's, a [`crate::TileChoice`]'s
+    /// own, or a [`Axis::Cluster`] value — must divide the IPU count of
+    /// every tile it reaches; buffer depths and tile counts must be at
+    /// least 1, and no tile count may overflow a reached tile's K
+    /// unrolling. Axis values are checked per axis, never by enumerating
+    /// their product. The sweep engine refuses spaces that fail; hosts
+    /// taking spaces from users (the daemon) call this to reject them up
+    /// front.
     pub fn check(&self) -> Result<(), SpaceError> {
         check_workload(&self.base)?;
-        for axis in self.axes.iter().filter(|a| matches!(a, Axis::Workload(_))) {
-            for i in 0..axis.len() {
-                check_workload(&axis.apply(i, self.base.clone()))?;
-            }
-        }
-        self.check_schedules()?;
         let design = self.base.design();
         check_tile(&design.tile)?;
         // An n_tiles value meets every tile the space reaches.
@@ -386,6 +381,11 @@ impl ParamSpace {
         let mut ipu_counts = vec![design.tile.ipus()];
         for axis in &self.axes {
             match axis {
+                Axis::Workload(_) => {
+                    for i in 0..axis.len() {
+                        check_workload(&axis.apply(i, self.base.clone()))?;
+                    }
+                }
                 Axis::Tile(choices) => {
                     ipu_counts.clear();
                     for tile in choices.iter().map(|c| c.config()) {
@@ -415,7 +415,9 @@ impl ParamSpace {
                 _ => {}
             }
         }
-        Ok(())
+        // Last: fitting a schedule resolves every reached workload, which
+        // panics on a degenerate synthetic stack.
+        Ok(self.check_schedules()?)
     }
 
     /// Draw `count` *distinct* design ids uniformly at random (without

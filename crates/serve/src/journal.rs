@@ -173,11 +173,11 @@ fn parse_header(j: &Json) -> Result<JournalHeader, String> {
 
 /// One unit's wire line.
 pub fn unit_json(r: &UnitRecord) -> Json {
-    unit_fields(Fields::default(), r)
+    unit_json_after(Fields::default(), r)
 }
 
-/// A unit record's fields, after `head` (the worker wire's `event` tag).
-pub(crate) fn unit_fields(head: Fields, r: &UnitRecord) -> Json {
+/// [`unit_json`] with `head` first (the worker wire's `event` tag).
+pub(crate) fn unit_json_after(head: Fields, r: &UnitRecord) -> Json {
     let fields = head
         .put("unit", &r.unit)
         .put("lo", &r.lo)

@@ -33,8 +33,8 @@
 
 use crate::codec::Fields;
 use crate::journal::{
-    memo_entries, read_journal, unit_fields, unit_record_from_json, JournalHeader, JournalWriter,
-    SnapshotPoint, UnitRecord,
+    memo_entries, read_journal, unit_json_after, unit_record_from_json, JournalHeader,
+    JournalWriter, SnapshotPoint, UnitRecord,
 };
 use crate::request::{Request, SweepReq, WireError};
 use crate::service::Limits;
@@ -111,7 +111,7 @@ fn unit_request_json(unit: &UnitRange, sweep: &Json, memo: bool) -> Json {
 /// A worker's `unit_result` line: the journal record form plus the
 /// `event` tag (which [`unit_record_from_json`] ignores on the way in).
 fn unit_result_json(record: &UnitRecord) -> Json {
-    unit_fields(Fields::default().put("event", "unit_result"), record)
+    unit_json_after(Fields::default().put("event", "unit_result"), record)
 }
 
 fn snapshot_of(points: &[FrontierPoint]) -> Vec<SnapshotPoint> {
