@@ -201,7 +201,7 @@ impl PassSel {
 
     /// The pass's own `(activation, weight)` distribution pair — what a
     /// `"fwd"`/`"bwd"` dists value names.
-    pub fn dists(self) -> DistPair {
+    pub(crate) fn dists(self) -> DistPair {
         let (act, wgt) = pass_distributions(self.to_pass());
         (DistSpec::from_dist(act), DistSpec::from_dist(wgt))
     }
@@ -397,8 +397,8 @@ impl DistSpec {
 }
 
 /// An `(activation, weight)` distribution pair, wire form
-/// `{"act":{...},"wgt":{...}}` (or `"fwd"`/`"bwd"` on input, for
-/// [`PassSel::dists`]).
+/// `{"act":{...},"wgt":{...}}` (or `"fwd"`/`"bwd"` on input, for that
+/// pass's own pair).
 pub type DistPair = (DistSpec, DistSpec);
 
 impl Wire for DistPair {
@@ -835,7 +835,7 @@ impl SweepReq {
     /// The request's folds: the Pareto fold over its objectives and the
     /// optional top-k selection (shared by the served, reference, and
     /// sharded sweeps).
-    pub fn folds(&self) -> Result<(ParetoFold, Option<TopK>), WireError> {
+    pub(crate) fn folds(&self) -> Result<(ParetoFold, Option<TopK>), WireError> {
         let top = match &self.top_k {
             Some(t) => Some(TopK::new(objective(&t.objective)?, t.k)),
             None => None,

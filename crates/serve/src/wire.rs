@@ -160,10 +160,10 @@ pub fn sweep_result_json(
 
 /// A finished sweep's Pareto frontier and optional top-k selection —
 /// the output of [`SweepReq::folds`].
-pub type Fronts = (Vec<FrontierPoint>, Option<Vec<FrontierPoint>>);
+pub(crate) type Fronts = (Vec<FrontierPoint>, Option<Vec<FrontierPoint>>);
 
 /// [`sweep_result_json`] for `req`'s finished folds over `points` points.
-pub fn sweep_result(req: &SweepReq, points: u64, (front, top): &Fronts) -> Json {
+pub(crate) fn sweep_result(req: &SweepReq, points: u64, (front, top): &Fronts) -> Json {
     sweep_result_json(
         req.tag.as_deref(),
         points,
@@ -174,7 +174,7 @@ pub fn sweep_result(req: &SweepReq, points: u64, (front, top): &Fronts) -> Json 
 }
 
 /// [`search_result_json`] for `req`'s finished search.
-pub fn search_result(req: &SearchReq, out: &SearchOutcome) -> Json {
+pub(crate) fn search_result(req: &SearchReq, out: &SearchOutcome) -> Json {
     search_result_json(req.tag.as_deref(), req.space_points(), &req.objectives, out)
 }
 
