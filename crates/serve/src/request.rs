@@ -350,7 +350,7 @@ impl Wire for DistSpec {
 
     fn read(j: &Json, at: Path<'_>) -> Result<DistSpec, WireError> {
         let o = Obj::open(j, at, &["kind", "scale", "std", "b"])?;
-        let kind: String = o.req("kind")?;
+        let kind = str_at(o.need("kind")?, at.key("kind"))?;
         let Some(&(_, key, make)) = DIST_KINDS.iter().find(|(label, _, _)| *label == kind) else {
             let kinds: Vec<&str> = DIST_KINDS.iter().map(|(label, _, _)| *label).collect();
             return Err(WireError::bad_request(format!(
@@ -624,8 +624,7 @@ impl Wire for AxisSpec {
 
     fn read(j: &Json, at: Path<'_>) -> Result<AxisSpec, WireError> {
         let o = Obj::open(j, at, &["axis", "values", "grid", "log2", "layers"])?;
-        let name: String = o.req("axis")?;
-        let name = name.as_str();
+        let name = str_at(o.need("axis")?, at.key("axis"))?;
         if name == "schedule_mask" {
             o.only(&["axis", "layers"])?;
             let layers = o.req("layers")?;
