@@ -86,7 +86,7 @@ impl From<Vec<Vec<Arc<str>>>> for LabelTable {
 /// The most MAC work (all layers × multiplicity) a workload may carry:
 /// over 10⁴× the largest zoo network, and far enough inside `u64` that
 /// every step and cycle count derived from it stays in range.
-pub const MAX_WORKLOAD_MACS: u64 = 1 << 48;
+const MAX_WORKLOAD_MACS: u64 = 1 << 48;
 
 /// Why a space cannot be swept ([`ParamSpace::check`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +96,7 @@ pub enum SpaceError {
     /// A geometry no design can be priced at: a cluster size that does
     /// not divide a reached tile's IPU count, a zero buffer depth, a
     /// tile count that is zero or overflows the tiles' K unrolling, or a
-    /// workload that is degenerate or past [`MAX_WORKLOAD_MACS`].
+    /// workload that is degenerate or past 2^48 MACs.
     Geometry(String),
 }
 
@@ -356,7 +356,7 @@ impl ParamSpace {
     /// sound and its schedules fit its workloads
     /// ([`ParamSpace::check_schedules`]). Every workload — the base
     /// scenario's or a [`Axis::Workload`] value — must stay within
-    /// [`MAX_WORKLOAD_MACS`], and a synthetic stack needs every dimension.
+    /// 2^48 MACs, and a synthetic stack needs every dimension.
     /// Every cluster size — the base tile's, a [`crate::TileChoice`]'s
     /// own, or a [`Axis::Cluster`] value — must divide the IPU count of
     /// every tile it reaches; buffer depths and tile counts must be at

@@ -414,7 +414,7 @@ impl Wire for DistPair {
             return Ok(PassSel::read(j, at)?.dists());
         }
         let o = Obj::open(j, at, &["act", "wgt"])?;
-        // Both must be present before either is read.
+        // A missing half is reported ahead of a malformed one.
         o.need("act")?;
         o.need("wgt")?;
         Ok((o.req("act")?, o.req("wgt")?))
