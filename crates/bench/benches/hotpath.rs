@@ -74,11 +74,6 @@ impl CostBackend for Recorder {
         "mc"
     }
 
-    fn window_cycles(&self, q: &CostQuery) -> f64 {
-        self.0.lock().unwrap().push(*q);
-        MonteCarlo.window_cycles(q)
-    }
-
     fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
         self.0.lock().unwrap().extend_from_slice(queries);
         MonteCarlo.estimate_batch(queries, out);

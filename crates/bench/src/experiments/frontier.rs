@@ -32,7 +32,7 @@ use mpipu_explore::{
     SweepEngine, SweepEvent, TileChoice, TopK,
 };
 use mpipu_sim::cost::pass_distributions;
-use mpipu_sim::{Backend, CostBackend, CostQuery, TileConfig};
+use mpipu_sim::{Backend, CostBackend};
 use std::sync::Arc;
 
 /// Registry entry: runs the design-space sweep at the context's scale.
@@ -219,19 +219,11 @@ pub fn run(cfg: &Config, ctx: &RunCtx<'_>) -> Report {
 }
 
 /// The two notes that say how the grid was priced, chosen by whether the
-/// backend's cache key is seed-blind — the probe the sweep engine uses to
-/// collapse a workload's layers. Seed-blind backends (the analytic
-/// default) answer in closed form; seed-sensitive ones sample.
+/// backend is seed-blind ([`CostBackend::seed_blind`]), as the sweep
+/// engine asks to collapse a workload's layers. Seed-blind backends (the
+/// analytic default) answer in closed form; seed-sensitive ones sample.
 fn pricing_notes(backend: &dyn CostBackend, total: u64) -> (String, &'static str) {
-    let probe = CostQuery {
-        tile: TileConfig::small(),
-        w: 12,
-        software_precision: 28,
-        dists: pass_distributions(Pass::Forward),
-        window: 1,
-        seed: 0,
-    };
-    if backend.cache_key(&probe).seed_blind() {
+    if backend.seed_blind() {
         (
             format!(
                 "{total} design points swept in closed form \

@@ -80,7 +80,7 @@ impl IpuConfig {
 
     /// Adder-tree growth bits `t = ⌈log2 n⌉`.
     pub fn t(&self) -> u32 {
-        usize::BITS - (self.n - 1).leading_zeros()
+        growth_bits(self.n)
     }
 
     /// Accumulator register width: `max(33, w) + t + l` bits
@@ -111,27 +111,40 @@ impl IpuConfig {
             "lane count {} out of range",
             self.n
         );
-        assert!(
-            self.w >= 4,
-            "adder tree must be at least 4 bits, got {}",
-            self.w
-        );
-        // The kernel sums the `w + t`-bit adder-tree output in an `i64`.
-        assert!(
-            self.w <= 64 - self.t(),
-            "a {}-bit adder tree over {} lanes needs w + t = {} bits, beyond the \
-             64-bit adder-tree sum (w <= {} at this lane count)",
-            self.w,
-            self.n,
-            self.w + self.t(),
-            64 - self.t()
-        );
+        if let Err(e) = check_adder_tree(self.w, self.n) {
+            panic!("{e}");
+        }
         assert!(
             self.software_precision <= 64,
             "software precision {} out of range",
             self.software_precision
         );
     }
+}
+
+/// Adder-tree growth bits `⌈log2 lanes⌉` (0 for 0 or 1 lane).
+fn growth_bits(lanes: usize) -> u32 {
+    usize::BITS - lanes.saturating_sub(1).leading_zeros()
+}
+
+/// Check that an IPU can be built with a `w`-bit adder tree over `lanes`
+/// lanes: the tree needs at least 4 bits, and the kernel sums its
+/// `w + ⌈log2 lanes⌉`-bit output in an `i64`. The error names the bound
+/// `w` breaks.
+pub fn check_adder_tree(w: u32, lanes: usize) -> Result<(), String> {
+    let t = growth_bits(lanes);
+    if w < 4 {
+        return Err(format!("adder tree must be at least 4 bits, got {w}"));
+    }
+    if w > 64 - t {
+        return Err(format!(
+            "a {w}-bit adder tree over {lanes} lanes needs w + t = {} bits, beyond the \
+             64-bit adder-tree sum (w <= {} at this lane count)",
+            u64::from(w) + u64::from(t),
+            64 - t
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -222,6 +235,16 @@ mod tests {
     #[should_panic(expected = "w + t = 65 bits")]
     fn rejects_adder_tree_sum_beyond_64_bits() {
         IpuConfig::big(61).validate();
+    }
+
+    #[test]
+    fn adder_tree_check_does_not_panic_at_the_extremes() {
+        assert!(check_adder_tree(0, 0).is_err());
+        assert!(check_adder_tree(u32::MAX, usize::MAX)
+            .unwrap_err()
+            .contains("w + t = 4294967359 bits"));
+        assert_eq!(check_adder_tree(64, 1), Ok(()));
+        assert_eq!(check_adder_tree(4, 0), Ok(()));
     }
 
     #[test]

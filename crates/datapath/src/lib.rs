@@ -47,7 +47,7 @@ pub mod reference;
 pub mod theory;
 
 pub use accum::Accumulator;
-pub use config::{AccFormat, IpuConfig};
+pub use config::{check_adder_tree, AccFormat, IpuConfig};
 pub use ehu::{AlignmentPlan, Ehu};
 pub use ipu::{FpIpResult, IntSignedness, Ipu};
 pub use kernel::FpOperand;

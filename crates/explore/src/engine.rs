@@ -764,10 +764,6 @@ mod tests {
             fn name(&self) -> &'static str {
                 "spy"
             }
-            fn window_cycles(&self, q: &CostQuery) -> f64 {
-                self.1.lock().unwrap().push(std::thread::current().id());
-                self.0.window_cycles(q)
-            }
             fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
                 self.1.lock().unwrap().push(std::thread::current().id());
                 self.0.estimate_batch(queries, out)

@@ -5,36 +5,29 @@
 //! — schedules that fit their workloads, sound tile geometry
 //! ([`ParamSpace::check`]) — and hoists everything
 //! rank-independent: per-axis label tables, the shared cost backend, and
-//! whether that backend is *seed-blind* (its [`CostQuery`] cache key
-//! ignores the sampling seed, as the analytic backends' do — probed
-//! through the public `cache_key` contract, never by downcasting).
+//! whether that backend is seed-blind ([`CostBackend::seed_blind`]).
 //!
 //! [`SlabPlan::evaluate`] then walks a list of design ids — consecutive
 //! ids step like a mixed-radix odometer, reapplying only the axes whose
 //! coordinate changed via the same [`Axis::apply`] that
 //! [`ParamSpace::point`] uses — and splits evaluation into three passes:
 //!
-//! 1. **Gather** — resolve each point's workload/geometry to a cached
-//!    [`LayerTable`] (per-layer step counts, sampling windows, seeds,
-//!    and the baseline total, exactly as the simulator derives them)
-//!    and its schedule to per-layer precisions, then append its cost
-//!    queries to one slab. INT layers need no query; every FP16 layer
-//!    needs the query the simulator's per-layer core would issue (same
-//!    window, same seed from the layer's index among *all* layers). For
-//!    seed-blind backends, a point's FP16 layers sharing a sampling
-//!    window collapse into a single query.
+//! 1. **Gather** — resolve each point's workload/geometry/schedule to a
+//!    cached [`WorkloadPlan`], the simulator's own per-layer accounting
+//!    (the one `Scenario::run` builds), and append the plan's cost
+//!    queries to one slab. INT layers need no query; for seed-blind
+//!    backends, a point's FP16 layers sharing a sampling window share
+//!    one query.
 //! 2. **Estimate** — a single [`CostBackend::estimate_batch`] call over
 //!    the whole chunk's slab.
-//! 3. **Scatter** — rebuild every [`PointEval`] with the simulator's
-//!    exact arithmetic: per-layer `(window_cycles · steps / sampled)`
-//!    rounding in the same op order, INT layers at `steps · ka · kb`,
-//!    u64 totals in layer order, the FP16 share of baseline work, and
-//!    metrics through the hoisted [`MetricsFactors`].
+//! 3. **Scatter** — total every [`PointEval`] through
+//!    [`WorkloadPlan::total`], then its metrics through the hoisted
+//!    [`MetricsFactors`].
 //!
-//! Bit-identity with lowering each point through `Scenario::run` is the
-//! contract (property-tested against a per-point oracle in
-//! `tests/proptests.rs`); the slab changes how often shared math runs,
-//! never the math itself.
+//! Bit-identity with a per-point, per-layer reference loop is the
+//! contract (property-tested in `tests/proptests.rs`, which checks
+//! `Scenario::run` against the same loop); the slab changes how often
+//! shared math runs, never the math itself.
 
 use crate::axis::Axis;
 use crate::engine::PointEval;
@@ -44,10 +37,7 @@ use mpipu_analysis::dist::Distribution;
 use mpipu_dnn::zoo::Workload;
 use mpipu_hw::MetricsFactors;
 use mpipu_sim::cost::pass_distributions;
-use mpipu_sim::{
-    layer_steps, CostBackend, CostQuery, LayerPrecision, SimDesign, SimOptions,
-    BASELINE_CYCLES_PER_STEP,
-};
+use mpipu_sim::{CostBackend, CostQuery, LayerPrecision, SimDesign, SimOptions, WorkloadPlan};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,8 +49,7 @@ type TotalsMemoSlot = Option<(usize, u64, (u64, f64))>;
 pub(crate) struct SlabPlan<'s> {
     space: &'s ParamSpace,
     backend: Arc<dyn CostBackend>,
-    /// Whether the backend's cache key ignores the seed — the license to
-    /// collapse same-window queries within a point.
+    /// [`CostBackend::seed_blind`], asked once per sweep.
     seed_blind: bool,
     /// The space's label table, shared into every [`PointEval`].
     labels: Arc<LabelTable>,
@@ -82,18 +71,6 @@ impl<'s> SlabPlan<'s> {
         let backend = override_backend
             .cloned()
             .unwrap_or_else(|| lowered.backend.clone());
-        let probe = CostQuery {
-            tile: lowered.design.tile,
-            w: lowered.design.w,
-            software_precision: lowered.design.software_precision,
-            dists: lowered
-                .dists
-                .unwrap_or_else(|| pass_distributions(mpipu_dnn::zoo::Pass::Forward)),
-            window: 1,
-            seed: 0,
-        };
-        let seed_blind =
-            backend.cache_key(&probe) == backend.cache_key(&CostQuery { seed: 1, ..probe });
         let labels = space.label_table();
         let wl_axes = space
             .axes()
@@ -104,8 +81,8 @@ impl<'s> SlabPlan<'s> {
             .collect();
         Ok(SlabPlan {
             space,
+            seed_blind: backend.seed_blind(),
             backend,
-            seed_blind,
             labels,
             wl_axes,
             opts: lowered.opts,
@@ -120,111 +97,9 @@ impl<'s> SlabPlan<'s> {
     }
 }
 
-/// One layer's slab bookkeeping.
-struct SlabLayer {
-    /// The query slot pricing an FP16 layer; `None` for an INT layer,
-    /// which costs a fixed `int_cycles` per instance.
-    slot: Option<usize>,
-    int_cycles: u64,
-    steps_f: f64,
-    sampled_f: f64,
-    /// Layer multiplicity, pre-widened for the u64 total.
-    weight: u64,
-}
-
 /// `(workload, tile c/k/h/w unroll + n_tiles, schedule)` — what a
-/// [`LayerTable`] depends on.
+/// point's [`WorkloadPlan`] depends on.
 type TableKey = (usize, [usize; 5], Option<usize>);
-
-/// Per-(workload, tile geometry, n_tiles, schedule) evaluation skeleton
-/// — every design-point quantity that does not depend on `w`,
-/// precision, clustering, buffering, or distributions.
-struct LayerTable {
-    layers: Vec<SlabLayer>,
-    /// Distinct query slots of the FP16 layers as `(window, seed)`.
-    /// Seed-blind backends share one slot per distinct window;
-    /// seed-sensitive backends get one slot per FP16 layer, reproducing
-    /// the simulator's query stream exactly.
-    slots: Vec<(usize, u64)>,
-    total_baseline: u64,
-    /// FP16 share of baseline work (1.0 for an unscheduled point).
-    fp_fraction: f64,
-}
-
-impl LayerTable {
-    fn build(
-        design: &SimDesign,
-        workload: &Workload,
-        schedule: Option<&[LayerPrecision]>,
-        opts: &SimOptions,
-        seed_blind: bool,
-    ) -> LayerTable {
-        let mut layers = Vec::with_capacity(workload.layers.len());
-        let mut slots: Vec<(usize, u64)> = Vec::new();
-        let (mut total_baseline, mut fp_baseline) = (0u64, 0u64);
-        for (li, &(shape, multiplicity)) in workload.layers.iter().enumerate() {
-            let steps = layer_steps(design, &shape);
-            let sampled = (steps as usize).min(opts.sample_steps).max(1);
-            let weight = multiplicity as u64;
-            let (slot, int_cycles, baseline) =
-                match schedule.map_or(LayerPrecision::Fp16, |s| s[li]) {
-                    // No alignment stalls: an INT layer is its own baseline.
-                    LayerPrecision::Int { ka, kb } => {
-                        let cycles = steps * u64::from(ka * kb);
-                        (None, cycles, cycles)
-                    }
-                    LayerPrecision::Fp16 => {
-                        let seed = opts.seed ^ (li as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        let slot = match slots.iter().position(|&(w, _)| w == sampled) {
-                            Some(s) if seed_blind => s,
-                            _ => {
-                                slots.push((sampled, seed));
-                                slots.len() - 1
-                            }
-                        };
-                        let baseline = steps * u64::from(BASELINE_CYCLES_PER_STEP);
-                        fp_baseline += baseline * weight;
-                        (Some(slot), 0, baseline)
-                    }
-                };
-            total_baseline += baseline * weight;
-            let (steps_f, sampled_f) = (steps as f64, sampled as f64);
-            layers.push(SlabLayer {
-                slot,
-                int_cycles,
-                steps_f,
-                sampled_f,
-                weight,
-            });
-        }
-        let fp_fraction = match schedule {
-            None => 1.0,
-            Some(_) => fp_baseline as f64 / total_baseline.max(1) as f64,
-        };
-        LayerTable {
-            layers,
-            slots,
-            total_baseline,
-            fp_fraction,
-        }
-    }
-
-    /// A point's total cycles from its slots' window cycles: per-layer
-    /// `(window_cycles · steps / sampled)` rounding in the simulator's
-    /// op order, summed as u64 in layer order.
-    fn total(&self, window_cycles: &[f64]) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| {
-                let cycles = match l.slot {
-                    Some(slot) => (window_cycles[slot] * l.steps_f / l.sampled_f).round() as u64,
-                    None => l.int_cycles,
-                };
-                cycles * l.weight
-            })
-            .sum()
-    }
-}
 
 /// One point's fully-derived evaluation inputs — reused verbatim when a
 /// step only moves an axis that cannot change them.
@@ -251,7 +126,7 @@ struct Pending {
 struct Worker<'p, 's> {
     plan: &'p SlabPlan<'s>,
     workloads: Vec<(Vec<usize>, Arc<Workload>)>,
-    tables: Vec<LayerTable>,
+    tables: Vec<WorkloadPlan>,
     table_ids: HashMap<TableKey, usize>,
     factors: HashMap<(u32, usize, bool), MetricsFactors>,
     /// Materialized schedules, consecutive duplicates shared.
@@ -295,7 +170,7 @@ impl<'p, 's> Worker<'p, 's> {
             return t;
         }
         let (wid, _, schedule) = key;
-        self.tables.push(LayerTable::build(
+        self.tables.push(WorkloadPlan::new(
             design,
             &self.workloads[wid].1,
             schedule.map(|s| self.schedules[s].as_slice()),
@@ -335,9 +210,9 @@ impl<'p, 's> Worker<'p, 's> {
 
         // Axes whose values touch exactly one field of the derived
         // evaluation inputs: a distribution override swaps `dists`, a
-        // buffer-depth move rewrites `tile.buffer_depth` (`layer_steps`,
-        // the table key, the schedule, and the metrics factors are all
-        // blind to both). For the contiguous *tail* of such axes, every
+        // buffer-depth move rewrites `tile.buffer_depth` (the plan, its
+        // key, the schedule, and the metrics factors are all blind to
+        // both). For the contiguous *tail* of such axes, every
         // point patches the value onto `Derived` directly — writing the
         // very value `Axis::apply` would have pushed through the
         // scenario — so the odometer never has to apply or reapply a
@@ -455,16 +330,7 @@ impl<'p, 's> Worker<'p, 's> {
                 }
             };
             let qbase = queries.len();
-            for &(window, seed) in &self.tables[d.table].slots {
-                queries.push(CostQuery {
-                    tile: d.design.tile,
-                    w: d.design.w,
-                    software_precision: d.design.software_precision,
-                    dists: d.dists,
-                    window,
-                    seed,
-                });
-            }
+            queries.extend(self.tables[d.table].queries(&d.design, d.dists));
             coord_slab.extend_from_slice(&coords);
             pending.push(Pending {
                 table: d.table,
@@ -510,9 +376,9 @@ impl<'p, 's> Worker<'p, 's> {
             plan.backend.estimate_batch(&queries, &mut cycles);
         }
 
-        // Pass 3 — scatter back into PointEvals with the simulator's
-        // arithmetic, op for op. A point's total is a pure function of
-        // (table, per-slot cycles); buffer-depth and n-tiles moves leave
+        // Pass 3 — scatter back into PointEvals through each point's
+        // plan. A point's total is a pure function of
+        // (plan, per-slot cycles); buffer-depth and n-tiles moves leave
         // the cycles untouched, so the query stream revisits the same
         // few inputs back to back — a two-deep memo (the stream
         // alternates fwd/bwd distributions) skips the layer loop for
@@ -527,7 +393,7 @@ impl<'p, 's> Worker<'p, 's> {
             .map(|(i, (p, coords))| {
                 let table = &self.tables[p.table];
                 // An all-INT point has no slot to key on.
-                let memoable = table.slots.len() == 1;
+                let memoable = table.slot_count() == 1;
                 let key = (p.table, memoable.then(|| cycles[p.qbase].to_bits()));
                 let hit = if !memoable {
                     None
@@ -541,7 +407,7 @@ impl<'p, 's> Worker<'p, 's> {
                 };
                 let (total, normalized) = hit.unwrap_or_else(|| {
                     let total = table.total(&cycles[p.qbase..]);
-                    let normalized = total as f64 / table.total_baseline.max(1) as f64;
+                    let normalized = total as f64 / table.total_baseline().max(1) as f64;
                     if let (t, Some(b)) = key {
                         totals.swap(0, 1);
                         totals[0] = Some((t, b, (total, normalized)));
@@ -553,9 +419,9 @@ impl<'p, 's> Worker<'p, 's> {
                     coords,
                     label_table: plan.labels.clone(),
                     cycles: total,
-                    baseline_cycles: table.total_baseline,
+                    baseline_cycles: table.total_baseline(),
                     normalized,
-                    fp_fraction: table.fp_fraction,
+                    fp_fraction: table.fp_fraction(),
                     metrics: p.factors.at(normalized.max(1.0)),
                 }
             })

@@ -8,6 +8,7 @@
 //! order is what makes every engine output byte-deterministic.
 
 use crate::axis::Axis;
+use mpipu::datapath::check_adder_tree;
 use mpipu::Scenario;
 use mpipu_sim::{LayerPrecision, Schedule, ScheduleError, TileConfig};
 use rand::rngs::SmallRng;
@@ -95,7 +96,8 @@ pub enum SpaceError {
     Schedule(ScheduleError),
     /// A geometry no design can be priced at: a cluster size that does
     /// not divide a reached tile's IPU count, a zero buffer depth, a
-    /// tile count that is zero or overflows the tiles' K unrolling, or a
+    /// tile count that is zero or overflows the tiles' K unrolling, an
+    /// adder-tree width no IPU of a reached tile can be built with, or a
     /// workload that is degenerate or past 2^48 MACs.
     Geometry(String),
 }
@@ -361,21 +363,28 @@ impl ParamSpace {
     /// own, or a [`Axis::Cluster`] value — must divide the IPU count of
     /// every tile it reaches; buffer depths and tile counts must be at
     /// least 1, and no tile count may overflow a reached tile's K
-    /// unrolling. Axis values are checked per axis, never by enumerating
-    /// their product. The sweep engine refuses spaces that fail; hosts
-    /// taking spaces from users (the daemon) call this to reject them up
-    /// front.
+    /// unrolling. Every adder-tree width — the base scenario's or a
+    /// [`Axis::W`] value — must build an IPU on every reached tile
+    /// ([`mpipu::datapath::check_adder_tree`]: at least 4 bits, and
+    /// `w + ⌈log2 lanes⌉ ≤ 64`). Axis values are checked per axis, never
+    /// by enumerating their product. The sweep engine refuses spaces
+    /// that fail; hosts taking spaces from users (the daemon) call this
+    /// to reject them up front.
     pub fn check(&self) -> Result<(), SpaceError> {
         check_workload(&self.base)?;
         let design = self.base.design();
         check_tile(&design.tile)?;
-        // An n_tiles value meets every tile the space reaches.
+        // An n_tiles value or a width meets every tile the space reaches.
         let choices = self.axes.iter().flat_map(|axis| match axis {
             Axis::Tile(choices) => choices.as_slice(),
             _ => &[],
         });
-        let k_unroll = choices.fold(design.tile.k_unroll, |k, c| k.max(c.config().k_unroll));
+        let (k_unroll, lanes) = choices.fold(
+            (design.tile.k_unroll, design.tile.c_unroll),
+            |(k, lanes), c| (k.max(c.config().k_unroll), lanes.max(c.config().c_unroll)),
+        );
         check_n_tiles(design.n_tiles, k_unroll)?;
+        check_adder_tree(design.w, lanes).map_err(SpaceError::Geometry)?;
         // Distinct IPU counts of the tiles reachable so far: a cluster
         // axis applies to whichever tile the earlier axes left in place.
         let mut ipu_counts = vec![design.tile.ipus()];
@@ -410,6 +419,11 @@ impl ParamSpace {
                 Axis::NTiles(counts) => {
                     for &n in counts {
                         check_n_tiles(n, k_unroll)?;
+                    }
+                }
+                Axis::W(widths) => {
+                    for &w in widths {
+                        check_adder_tree(w, lanes).map_err(SpaceError::Geometry)?;
                     }
                 }
                 _ => {}
@@ -628,6 +642,30 @@ mod tests {
         assert!(n.clone().check().is_ok());
         let big = n.axis(Axis::tile(vec![TileChoice::Big]));
         assert!(geometry(big).contains("n_tiles"));
+    }
+
+    #[test]
+    fn check_refuses_widths_no_ipu_can_be_built_with() {
+        let base = Scenario::small_tile();
+        let geometry = |space: ParamSpace| match space.check() {
+            Err(SpaceError::Geometry(msg)) => msg,
+            other => panic!("expected a geometry error, got {other:?}"),
+        };
+        let w = |w| ParamSpace::new(base.clone().w(w));
+        assert!(geometry(w(0)).contains("at least 4 bits"));
+        assert!(geometry(w(3)).contains("at least 4 bits"));
+        assert!(w(4).check().is_ok());
+        let axis = Axis::w(vec![12, 3]);
+        assert!(geometry(ParamSpace::new(base.clone()).axis(axis)).contains("at least 4 bits"));
+        // 8 lanes grow the sum by 3 bits, 16 lanes by 4: w = 61 fits the
+        // small tile alone, and no space that reaches the big tile.
+        assert!(w(61).check().is_ok());
+        let big = w(61).axis(Axis::tile(vec![TileChoice::Small, TileChoice::Big]));
+        assert!(geometry(big).contains("w + t = 65 bits"));
+        let axis = Axis::w(vec![60, 61]);
+        let big = ParamSpace::new(Scenario::big_tile()).axis(axis);
+        assert!(geometry(big).contains("w + t = 65 bits"));
+        assert!(ParamSpace::new(Scenario::big_tile().w(60)).check().is_ok());
     }
 
     #[test]

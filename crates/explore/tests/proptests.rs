@@ -1,7 +1,8 @@
 //! Property tests for the Pareto fold — the frontier is a subset of the
 //! input, contains no dominated point, and is invariant under input
-//! permutation — and for the sweep engine, whose slab evaluation must be
-//! bit-identical to a per-point `Scenario::run` oracle over arbitrary
+//! permutation — and for the sweep engine, whose slab evaluation (and
+//! `Scenario::run`, which shares its per-layer plan) must be
+//! bit-identical to a per-point, per-layer oracle over arbitrary
 //! parameter spaces, id sources, and chunk boundaries.
 
 use mpipu_explore::{pareto_front, FrontierPoint, Objective, ParetoFold, PointEval, Sense};
@@ -290,27 +291,76 @@ proptest! {
     }
 }
 
-/// The per-point reference evaluator: lower one design point and run it
-/// on its own through `Scenario::run`, on the sweep's shared backend.
-/// This is what the engine did per point before every space went through
-/// the slab evaluator; the engine must match it bit for bit.
+/// The per-point reference evaluator: the simulator's per-layer rule
+/// written out one layer and one query at a time, on the sweep's shared
+/// backend. An INT layer costs `steps · ka · kb` cycles and is its own
+/// baseline; an FP16 layer costs its window's cycles scaled to its true
+/// step count and rounded, against 9 baseline cycles per step. Both
+/// users of the library's one per-layer plan — the engine's slab and
+/// `Scenario::run` — must match it bit for bit.
 fn oracle(
     space: &ParamSpace,
     backend: &std::sync::Arc<dyn mpipu_sim::CostBackend>,
     id: DesignId,
 ) -> PointEval {
+    use mpipu_sim::cost::pass_distributions;
+    use mpipu_sim::{CostQuery, LayerPrecision};
+
     let spec = space.point(id).expect("design id in range");
     let scenario = spec.scenario.cost_backend(backend.clone());
-    let r = scenario.run();
-    let normalized = r.normalized();
+    let lowered = scenario.lower();
+    let (design, opts) = (lowered.design, lowered.opts);
+    let workload = scenario.resolve_workload();
+    let dists = lowered
+        .dists
+        .unwrap_or_else(|| pass_distributions(workload.pass));
+    let schedule = lowered.schedule.map(|s| s.materialize(&workload));
+    let (mut cycles, mut baseline_cycles, mut fp_baseline) = (0u64, 0u64, 0u64);
+    for (li, &(shape, multiplicity)) in workload.layers.iter().enumerate() {
+        let t = design.tile;
+        let steps = shape.tile_steps(
+            t.c_unroll,
+            t.k_unroll * design.n_tiles,
+            t.h_unroll,
+            t.w_unroll,
+        );
+        let m = multiplicity as u64;
+        let (layer, baseline) = match schedule.as_ref().map_or(LayerPrecision::Fp16, |s| s[li]) {
+            LayerPrecision::Int { ka, kb } => {
+                let c = steps * u64::from(ka * kb);
+                (c, c)
+            }
+            LayerPrecision::Fp16 => {
+                let window = (steps as usize).min(opts.sample_steps).max(1);
+                let q = CostQuery {
+                    tile: t,
+                    w: design.w,
+                    software_precision: design.software_precision,
+                    dists,
+                    window,
+                    seed: opts.seed ^ (li as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                };
+                let c = (backend.window_cycles(&q) * steps as f64 / window as f64).round();
+                fp_baseline += 9 * steps * m;
+                (c as u64, 9 * steps)
+            }
+        };
+        cycles += layer * m;
+        baseline_cycles += baseline * m;
+    }
+    let normalized = cycles as f64 / baseline_cycles.max(1) as f64;
+    let fp_fraction = match schedule {
+        None => 1.0,
+        Some(_) => fp_baseline as f64 / baseline_cycles.max(1) as f64,
+    };
     PointEval {
         id,
         coords: spec.coords.into(),
         label_table: space.label_table(),
-        cycles: r.result.total_cycles(),
-        baseline_cycles: r.result.total_baseline_cycles(),
+        cycles,
+        baseline_cycles,
         normalized,
-        fp_fraction: r.fp_fraction,
+        fp_fraction,
         metrics: scenario.metrics(normalized),
     }
 }
@@ -362,11 +412,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The engine's three entry points — `run`, `run_range` and
-    /// `run_ids` — evaluate every point bit-identically to the per-point
-    /// oracle over arbitrary axes (schedules and schedule masks
-    /// included), id ranges and lists, chunk boundaries, thread counts,
-    /// and backends: analytic, memoized analytic, and the seed-sensitive
-    /// Monte-Carlo backend.
+    /// `run_ids` — and every point's own `Scenario::run` evaluate
+    /// bit-identically to the per-point oracle over arbitrary axes
+    /// (schedules and schedule masks included), id ranges and lists,
+    /// chunk boundaries, thread counts, and backends: analytic, memoized
+    /// analytic, and the seed-sensitive Monte-Carlo backend.
     #[test]
     fn slab_sweep_is_bit_identical_to_scalar_reference(
         w_mask in 1usize..8,
@@ -445,6 +495,15 @@ proptest! {
 
         let len = space.len();
         let want: Vec<PointEval> = (0..len).map(|i| oracle(&space, &backend, DesignId(i))).collect();
+        // `Scenario::run` builds the same plan for one point at a time.
+        for want in &want {
+            let spec = space.point(want.id).expect("design id in range");
+            let r = spec.scenario.cost_backend(backend.clone()).run();
+            prop_assert_eq!(r.result.total_cycles(), want.cycles, "id {:?}", want.id);
+            prop_assert_eq!(r.result.total_baseline_cycles(), want.baseline_cycles);
+            prop_assert_eq!(r.normalized().to_bits(), want.normalized.to_bits());
+            prop_assert_eq!(r.fp_fraction.to_bits(), want.fp_fraction.to_bits());
+        }
         let engine = SweepEngine::new()
             .threads(threads)
             .chunk_size(chunk)

@@ -101,8 +101,10 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
     // Geometry no design can be priced at is refused the same way: a
     // cluster size that does not divide the 32-IPU small tile, a zero
     // FIFO depth, zero tiles or so many that `n_tiles × k_unroll` wraps,
-    // a degenerate synthetic stack, a workload whose MAC count overflows
-    // — in an eval's scenario or on a sweep axis.
+    // a degenerate synthetic stack, a workload whose MAC count overflows,
+    // an adder tree no IPU can be built with (under 4 bits, or 61 bits
+    // over the big tile's 16 lanes) — in an eval's scenario or on a
+    // sweep axis.
     for (line, reason) in [
         (
             r#"{"req":"eval","scenario":{"tile":"small","cluster":5}}"#,
@@ -148,6 +150,15 @@ fn malformed_line_is_an_error_and_the_connection_survives() {
         (
             r#"{"req":"sweep","axes":[{"axis":"n_tiles","values":[1,2305843009213693952]}]}"#,
             "n_tiles",
+        ),
+        (r#"{"req":"eval","scenario":{"w":0}}"#, "at least 4 bits"),
+        (
+            r#"{"req":"sweep","axes":[{"axis":"w","values":[8,3]}]}"#,
+            "at least 4 bits",
+        ),
+        (
+            r#"{"req":"eval","scenario":{"tile":"big","w":61}}"#,
+            "w + t = 65 bits",
         ),
     ] {
         client.send_line(line).unwrap();

@@ -9,8 +9,7 @@
 //!   exponents per step and replay the cluster FIFOs
 //!   ([`crate::simulate_clusters`]). Its [`CostBackend::estimate_batch`] samples
 //!   each draw class of a slab once and prices every query of the class
-//!   from that one sample ([`crate::cost`]); `window_cycles` is a
-//!   one-query batch.
+//!   from that one sample ([`crate::cost`]).
 //! * [`crate::slab::AnalyticBatched`] — no RNG at all: the *exact*
 //!   per-IPU partition-count distribution is computed in closed form
 //!   from the two operands' FP16 exponent PMFs
@@ -29,11 +28,15 @@
 //!   recomputing identical design points. Memoization is transparent:
 //!   results are bit-identical to the inner backend's.
 //!
-//! The seam is threaded through every consumer: `run.rs`/`mixed.rs`
-//! estimate FP16 layers through `&dyn CostBackend`, [`crate::Lowered`]
-//! carries an `Arc<dyn CostBackend>`, the `mpipu::Scenario` builder
-//! selects one with `.backend(Backend::Analytic)`, and the suite CLI
-//! exposes `--backend {mc,analytic,memoized,memoized-analytic}`.
+//! Backends price only in batches: [`CostBackend::estimate_batch`] is
+//! the one required pricing method, and [`CostBackend::window_cycles`]
+//! is a one-query batch. [`crate::Lowered::execute`] prices a workload's
+//! FP16 layers as one slab of its [`crate::WorkloadPlan`]'s queries, the
+//! sweep engine prices whole chunks of design points as one slab,
+//! [`crate::Lowered`] carries an `Arc<dyn CostBackend>`, the
+//! `mpipu::Scenario` builder selects one with
+//! `.backend(Backend::Analytic)`, and the suite CLI exposes
+//! `--backend {mc,analytic,memoized,memoized-analytic}`.
 
 use crate::cost::safe_precision;
 use crate::tile::TileConfig;
@@ -46,8 +49,8 @@ use std::sync::{Arc, Mutex, RwLock};
 /// One fully-resolved cost question: estimate the cycles a tile spends
 /// retiring `window` broadcast steps of one FP16 layer.
 ///
-/// The caller (`run::sampled_fp16_layer`) has already resolved the
-/// workload pass into a concrete `(activation, weight)` distribution
+/// The caller ([`crate::WorkloadPlan::queries`]) has already resolved
+/// the workload pass into a concrete `(activation, weight)` distribution
 /// pair and derived the per-layer RNG seed; backends that do not sample
 /// ([`crate::slab::AnalyticBatched`]) simply ignore `seed`.
 #[derive(Debug, Clone, Copy)]
@@ -76,12 +79,26 @@ pub trait CostBackend: fmt::Debug + Send + Sync {
     /// Short machine-readable name (`mc`, `analytic`, …).
     fn name(&self) -> &'static str;
 
-    /// Estimated cycles to retire `q.window` broadcast steps.
+    /// Estimate a slab of queries: `out[i]` receives the cycles to retire
+    /// `queries[i].window` broadcast steps — the one pricing method.
     ///
-    /// [`MonteCarlo`] returns an exact integer (as `f64`); the analytic
-    /// backend returns the expectation, which is generally fractional.
-    /// Callers scale by `true_steps / window` and round once at the end.
-    fn window_cycles(&self, q: &CostQuery) -> f64;
+    /// [`MonteCarlo`] answers with exact integers (as `f64`); the
+    /// analytic backend with expectations, generally fractional. Callers
+    /// scale by `true_steps / window` and round once at the end
+    /// ([`crate::WorkloadPlan`]). Backends hoist work shared between
+    /// queries, but a query's answer must not depend on the slab it
+    /// arrives in, so callers may batch freely.
+    ///
+    /// # Panics
+    /// Panics if `queries.len() != out.len()`.
+    fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]);
+
+    /// One query's estimate: a one-query [`CostBackend::estimate_batch`].
+    fn window_cycles(&self, q: &CostQuery) -> f64 {
+        let mut out = [0.0f64];
+        self.estimate_batch(std::slice::from_ref(q), &mut out);
+        out[0]
+    }
 
     /// The key under which [`Memoized`] may share this backend's answer.
     ///
@@ -93,35 +110,28 @@ pub trait CostBackend: fmt::Debug + Send + Sync {
         CacheKey::new(self.name(), q, true)
     }
 
+    /// Whether answers ignore the sampling seed, read off
+    /// [`CostBackend::cache_key`] — the license to price every layer of a
+    /// workload that shares a window with one query. A wrapper that
+    /// forwards `cache_key` answers as its inner backend does.
+    fn seed_blind(&self) -> bool {
+        let probe = CostQuery {
+            tile: TileConfig::small(),
+            w: 12,
+            software_precision: 28,
+            dists: crate::cost::pass_distributions(mpipu_dnn::zoo::Pass::Forward),
+            window: 1,
+            seed: 0,
+        };
+        self.cache_key(&probe).seed_blind()
+    }
+
     /// Memoization counters, when this backend (or a layer inside it)
     /// caches — `None` for plain backends. Lets sweep runners and the
     /// suite surface cache effectiveness without downcasting through the
     /// object-safe seam.
     fn cache_stats(&self) -> Option<CacheStats> {
         None
-    }
-
-    /// Estimate a whole slab of queries at once: `out[i]` receives the
-    /// [`CostBackend::window_cycles`] answer for `queries[i]`.
-    ///
-    /// The default loops over `window_cycles` — always correct, never
-    /// faster. Batched backends ([`MonteCarlo`],
-    /// [`crate::slab::AnalyticBatched`]) override it to hoist work
-    /// shared between queries; results must stay bit-identical to the
-    /// scalar path, so callers (the sweep engine's slab fast path) may
-    /// pick freely between the two.
-    ///
-    /// # Panics
-    /// Panics if `queries.len() != out.len()`.
-    fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
-        assert_eq!(
-            queries.len(),
-            out.len(),
-            "estimate_batch: slab length mismatch"
-        );
-        for (slot, q) in out.iter_mut().zip(queries) {
-            *slot = self.window_cycles(q);
-        }
     }
 }
 
@@ -387,12 +397,6 @@ pub struct MonteCarlo;
 impl CostBackend for MonteCarlo {
     fn name(&self) -> &'static str {
         "mc"
-    }
-
-    fn window_cycles(&self, q: &CostQuery) -> f64 {
-        let mut out = [0.0f64];
-        self.estimate_batch(std::slice::from_ref(q), &mut out);
-        out[0]
     }
 
     /// # Panics
@@ -868,22 +872,6 @@ impl CostBackend for Memoized {
         "memoized"
     }
 
-    fn window_cycles(&self, q: &CostQuery) -> f64 {
-        let key = self.inner.cache_key(q);
-        if let Some(&cycles) = self.cache.read().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return cycles;
-        }
-        // Racing threads may compute the same entry twice; both arrive
-        // at the same value (backends are deterministic in their key),
-        // so the last insert is harmless.
-        let cycles = self.inner.window_cycles(q);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.log_insert(&key, cycles);
-        self.cache.write().unwrap().insert(key, cycles);
-        cycles
-    }
-
     /// Delegate to the inner backend: nesting memoization layers must
     /// not fragment the key space.
     fn cache_key(&self, q: &CostQuery) -> CacheKey {
@@ -899,19 +887,15 @@ impl CostBackend for Memoized {
         })
     }
 
-    /// Batch-aware memoization: serve cached slots from the cache, then
-    /// forward the *distinct* uncached queries to the inner backend in
-    /// one [`CostBackend::estimate_batch`] call.
+    /// Serve cached slots from the cache, then forward the *distinct*
+    /// uncached queries to the inner backend in one
+    /// [`CostBackend::estimate_batch`] call.
     ///
-    /// This keeps a memoization layer transparent on the sweep engine's
-    /// slab fast path: batched inner backends ([`MonteCarlo`],
-    /// [`crate::slab::AnalyticBatched`]) guarantee each query's batch
-    /// answer is a function of that query alone, so evaluating the miss
-    /// subset is bit-identical to evaluating the full slab — and to the
-    /// scalar [`CostBackend::window_cycles`] path. Duplicate keys inside
-    /// one slab count as hits (the scalar path would compute the first
-    /// and hit on the rest), so `hits + misses` still advances by
-    /// `queries.len()`.
+    /// An inner backend's answer to a query never depends on the slab it
+    /// arrives in, so evaluating the miss subset is bit-identical to
+    /// evaluating the full slab. Duplicate keys inside one slab count as
+    /// hits (one computation serves them all), so `hits + misses` still
+    /// advances by `queries.len()`.
     fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
         assert_eq!(
             queries.len(),
@@ -955,6 +939,9 @@ impl CostBackend for Memoized {
         );
         self.misses
             .fetch_add(miss_queries.len() as u64, Ordering::Relaxed);
+        // Racing threads may compute the same entry twice; both arrive at
+        // the same value (backends are deterministic in their key), so the
+        // last insert is harmless.
         {
             let mut cache = self.cache.write().unwrap();
             for (&i, &cycles) in unique.iter().zip(&miss_out) {
@@ -1369,8 +1356,11 @@ mod tests {
         }
     }
 
+    /// A query's answer never depends on the slab it arrives in: inside a
+    /// mixed slab it equals its one-query answer from a fresh backend (so
+    /// a memoized backend cannot answer from its own slab's cache).
     #[test]
-    fn default_estimate_batch_matches_scalar_calls_for_every_backend() {
+    fn mixed_slab_answers_equal_one_query_answers_for_every_backend() {
         let queries: Vec<CostQuery> = [
             query(TileConfig::small(), 12, Pass::Forward, 3),
             query(TileConfig::small(), 16, Pass::Backward, 4),
@@ -1386,17 +1376,26 @@ mod tests {
             },
         ]
         .to_vec();
-        for b in Backend::NAMES.map(|n| Backend::parse(n).unwrap().instantiate()) {
+        for name in Backend::NAMES {
+            let fresh = || Backend::parse(name).unwrap().instantiate();
             let mut out = vec![0.0; queries.len()];
-            b.estimate_batch(&queries, &mut out);
+            fresh().estimate_batch(&queries, &mut out);
             for (q, got) in queries.iter().zip(&out) {
                 assert_eq!(
                     got.to_bits(),
-                    b.window_cycles(q).to_bits(),
-                    "{}: batch vs scalar",
-                    b.name()
+                    fresh().window_cycles(q).to_bits(),
+                    "{name}: slab vs one query"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn seed_blindness_follows_the_cache_key() {
+        for name in Backend::NAMES {
+            let blind = matches!(name, "analytic" | "memoized-analytic");
+            let b = Backend::parse(name).unwrap().instantiate();
+            assert_eq!(b.seed_blind(), blind, "{name}");
         }
     }
 

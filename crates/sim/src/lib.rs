@@ -21,16 +21,19 @@
 //! depth, and the tile-level broadcast stalls when any FIFO is full —
 //! exactly the stall semantics of §3.3.
 //!
-//! Per-step costs flow through a pluggable [`backend::CostBackend`]:
-//! the default [`backend::MonteCarlo`] samples operand exponents from the
-//! workload's value distributions (the paper samples real tensors; see
-//! `DESIGN.md` for the substitution) and prices them with the *same* EHU
-//! rule as the bit-accurate datapath, drawing once per draw class of a
-//! query slab ([`cost`]); [`slab::AnalyticBatched`] computes the
-//! expected step cost in closed form from the exponent PMFs, once per
-//! equivalence class of a slab; and [`backend::Memoized`] caches either
-//! across sweeps. The simulator assumes an ideal memory hierarchy, as
-//! the paper does.
+//! A workload's per-layer accounting — steps, estimation windows and
+//! seeds, INT costs, and the window-to-layer scaling — is one
+//! [`WorkloadPlan`], shared by [`Lowered::execute`] and the sweep
+//! engine. Its FP16 layers are priced in batches through a pluggable
+//! [`backend::CostBackend`]: the default [`backend::MonteCarlo`] samples
+//! operand exponents from the workload's value distributions (the paper
+//! samples real tensors; see `DESIGN.md` for the substitution) and
+//! prices them with the *same* EHU rule as the bit-accurate datapath,
+//! drawing once per draw class of a query slab ([`cost`]);
+//! [`slab::AnalyticBatched`] computes the expected step cost in closed
+//! form from the exponent PMFs, once per equivalence class of a slab;
+//! and [`backend::Memoized`] caches either across sweeps. The simulator
+//! assumes an ideal memory hierarchy, as the paper does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,8 +53,8 @@ pub use backend::{
 };
 pub use cost::BASELINE_CYCLES_PER_STEP;
 pub use engine::{constant_stream_cycles, simulate_clusters};
-pub use mixed::{first_last_fp16, run_mixed, LayerPrecision, MixedResult, Schedule, ScheduleError};
+pub use mixed::{first_last_fp16, LayerPrecision, MixedResult, Schedule, ScheduleError};
 pub use result::{LayerResult, WorkloadResult};
-pub use run::{layer_steps, run_workload, Lowered, SimDesign, SimOptions};
+pub use run::{run_workload, Lowered, SimDesign, SimOptions, WorkloadPlan};
 pub use slab::AnalyticBatched;
 pub use tile::TileConfig;

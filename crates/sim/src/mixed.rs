@@ -4,14 +4,14 @@
 //! are INT-quantized and a few remain FP16 ("hybrid approaches where a few
 //! layers are kept in FP and the rest are quantized to integer"), and §3.3
 //! notes that the first consideration when sizing the MC-IPU is "the INT
-//! and FP operations percentage split". This module executes a workload
-//! where each layer carries its own precision assignment and reports the
-//! split and the blended execution time.
+//! and FP operations percentage split". This module names each layer's
+//! precision assignment and the result that reports the split and the
+//! blended execution time. A scheduled run is a [`crate::Lowered`]
+//! carrying a [`Schedule`]; [`crate::WorkloadPlan`] prices its INT
+//! layers at `ka·kb` cycles per step and its FP16 layers through the
+//! cost backend.
 
-use crate::backend::{CostBackend, MonteCarlo};
-use crate::result::{LayerResult, WorkloadResult};
-use crate::run::{layer_steps, sampled_fp16_layer, SimDesign, SimOptions};
-use mpipu_analysis::dist::Distribution;
+use crate::result::WorkloadResult;
 use mpipu_dnn::zoo::Workload;
 
 /// Per-layer numeric assignment.
@@ -143,76 +143,6 @@ impl MixedResult {
     }
 }
 
-/// Simulate a workload with a per-layer precision assignment.
-///
-/// `assignment[i]` applies to `workload.layers[i]`; INT layers run at
-/// their deterministic `ka·kb` cycles per step (no alignment stalls), FP16
-/// layers run through the Monte-Carlo MC-IPU cost model.
-///
-/// # Panics
-/// Panics if the assignment length does not match the layer count.
-pub fn run_mixed(
-    design: &SimDesign,
-    workload: &Workload,
-    assignment: &[LayerPrecision],
-    opts: &SimOptions,
-) -> MixedResult {
-    run_mixed_with(design, workload, assignment, opts, None, &MonteCarlo)
-}
-
-/// [`run_mixed`] with an optional `(activation, weight)` distribution
-/// override for the FP16 layers, estimated through `backend`.
-pub(crate) fn run_mixed_with(
-    design: &SimDesign,
-    workload: &Workload,
-    assignment: &[LayerPrecision],
-    opts: &SimOptions,
-    dists: Option<(Distribution, Distribution)>,
-    backend: &dyn CostBackend,
-) -> MixedResult {
-    assert_eq!(
-        assignment.len(),
-        workload.layers.len(),
-        "one precision per layer required"
-    );
-    let mut layers = Vec::with_capacity(workload.layers.len());
-    let mut fp_base = 0u64;
-    let mut all_base = 0u64;
-    for (li, (&(shape, multiplicity), &prec)) in workload.layers.iter().zip(assignment).enumerate()
-    {
-        let steps = layer_steps(design, &shape);
-        let (cycles, baseline_cycles) = match prec {
-            LayerPrecision::Int { ka, kb } => {
-                // Deterministic: ka·kb cycles per step on every IPU; the
-                // broadcast keeps up (ka·kb ≥ 1 per cycle).
-                let per_step = u64::from(ka * kb);
-                (steps * per_step, steps * per_step)
-            }
-            LayerPrecision::Fp16 => {
-                sampled_fp16_layer(design, li, steps, workload.pass, dists, opts, backend)
-            }
-        };
-        if matches!(prec, LayerPrecision::Fp16) {
-            fp_base += baseline_cycles * multiplicity as u64;
-        }
-        all_base += baseline_cycles * multiplicity as u64;
-        layers.push(LayerResult {
-            shape,
-            multiplicity,
-            steps,
-            cycles,
-            baseline_cycles,
-        });
-    }
-    MixedResult {
-        result: WorkloadResult {
-            label: format!("{}-mixed", workload.label()),
-            layers,
-        },
-        fp_fraction: fp_base as f64 / all_base.max(1) as f64,
-    }
-}
-
 /// A common hybrid assignment: first and last layers FP16 (the
 /// quantization-sensitive ones), everything else INT4 — the split the
 /// paper's intro motivates.
@@ -232,8 +162,11 @@ pub fn first_last_fp16(workload: &Workload) -> Vec<LayerPrecision> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MonteCarlo;
+    use crate::run::{Lowered, SimDesign, SimOptions};
     use crate::tile::TileConfig;
     use mpipu_dnn::zoo::{resnet18, Pass};
+    use std::sync::Arc;
 
     fn design(w: u32) -> SimDesign {
         SimDesign {
@@ -251,11 +184,29 @@ mod tests {
         }
     }
 
+    /// `assignment` as a [`Schedule::Custom`] through
+    /// [`Lowered::execute`] on the Monte-Carlo backend.
+    fn run_custom(
+        design: &SimDesign,
+        workload: &Workload,
+        assignment: &[LayerPrecision],
+        opts: &SimOptions,
+    ) -> MixedResult {
+        Lowered {
+            design: *design,
+            opts: *opts,
+            dists: None,
+            schedule: Some(Schedule::Custom(assignment.to_vec())),
+            backend: Arc::new(MonteCarlo),
+        }
+        .execute(workload)
+    }
+
     #[test]
     fn all_int4_runs_at_one_cycle_per_step() {
         let wl = resnet18(Pass::Forward);
         let assignment = vec![LayerPrecision::Int { ka: 1, kb: 1 }; wl.layers.len()];
-        let r = run_mixed(&design(12), &wl, &assignment, &opts());
+        let r = run_custom(&design(12), &wl, &assignment, &opts());
         assert_eq!(r.fp_fraction, 0.0);
         assert!((r.result.normalized() - 1.0).abs() < 1e-12);
         let total_steps: u64 = r
@@ -276,8 +227,8 @@ mod tests {
         let wl = resnet18(Pass::Forward);
         let a4 = vec![LayerPrecision::Int { ka: 1, kb: 1 }; wl.layers.len()];
         let a8 = vec![LayerPrecision::Int { ka: 2, kb: 2 }; wl.layers.len()];
-        let r4 = run_mixed(&design(12), &wl, &a4, &opts());
-        let r8 = run_mixed(&design(12), &wl, &a8, &opts());
+        let r4 = run_custom(&design(12), &wl, &a4, &opts());
+        let r8 = run_custom(&design(12), &wl, &a8, &opts());
         assert_eq!(r8.result.total_cycles(), 4 * r4.result.total_cycles());
     }
 
@@ -285,7 +236,7 @@ mod tests {
     fn hybrid_fp_fraction_is_small_but_positive() {
         let wl = resnet18(Pass::Forward);
         let assignment = first_last_fp16(&wl);
-        let r = run_mixed(&design(12), &wl, &assignment, &opts());
+        let r = run_custom(&design(12), &wl, &assignment, &opts());
         // conv1 + fc are a small share of MACs but a larger share of
         // cycles (FP16 steps cost 9 baseline cycles vs 1 for INT4).
         assert!(
@@ -294,13 +245,13 @@ mod tests {
             r.fp_fraction
         );
         // Hybrid total sits between all-INT4 and all-FP16.
-        let all_int = run_mixed(
+        let all_int = run_custom(
             &design(12),
             &wl,
             &vec![LayerPrecision::Int { ka: 1, kb: 1 }; wl.layers.len()],
             &opts(),
         );
-        let all_fp = run_mixed(
+        let all_fp = run_custom(
             &design(12),
             &wl,
             &vec![LayerPrecision::Fp16; wl.layers.len()],
@@ -314,8 +265,8 @@ mod tests {
     fn narrow_tree_only_hurts_the_fp_layers() {
         let wl = resnet18(Pass::Forward);
         let assignment = first_last_fp16(&wl);
-        let r12 = run_mixed(&design(12), &wl, &assignment, &opts());
-        let r28 = run_mixed(&design(28), &wl, &assignment, &opts());
+        let r12 = run_custom(&design(12), &wl, &assignment, &opts());
+        let r28 = run_custom(&design(28), &wl, &assignment, &opts());
         // INT layers are identical; only the FP16 share grows.
         let delta = r12.result.total_cycles() as f64 / r28.result.total_cycles() as f64;
         assert!(delta >= 1.0);
@@ -329,7 +280,7 @@ mod tests {
     #[should_panic(expected = "one precision per layer")]
     fn wrong_assignment_length_panics() {
         let wl = resnet18(Pass::Forward);
-        run_mixed(&design(12), &wl, &[LayerPrecision::Fp16], &opts());
+        run_custom(&design(12), &wl, &[LayerPrecision::Fp16], &opts());
     }
 
     #[test]
@@ -401,15 +352,15 @@ mod tests {
     #[test]
     fn scheduled_run_matches_explicit_assignment() {
         let wl = resnet18(Pass::Forward);
-        let lowered = crate::run::Lowered {
+        let lowered = Lowered {
             design: design(12),
             opts: opts(),
             dists: None,
             schedule: Some(Schedule::FirstLastFp16),
-            backend: std::sync::Arc::new(MonteCarlo),
+            backend: Arc::new(MonteCarlo),
         };
         let via_schedule = lowered.execute(&wl);
-        let explicit = run_mixed(&design(12), &wl, &first_last_fp16(&wl), &opts());
+        let explicit = run_custom(&design(12), &wl, &first_last_fp16(&wl), &opts());
         assert_eq!(
             via_schedule.result.total_cycles(),
             explicit.result.total_cycles()
@@ -420,12 +371,12 @@ mod tests {
     #[test]
     fn uniform_lowered_execute_matches_run_workload() {
         let wl = resnet18(Pass::Forward);
-        let lowered = crate::run::Lowered {
+        let lowered = Lowered {
             design: design(12),
             opts: opts(),
             dists: None,
             schedule: None,
-            backend: std::sync::Arc::new(MonteCarlo),
+            backend: Arc::new(MonteCarlo),
         };
         let r = lowered.execute(&wl);
         let direct = crate::run::run_workload(&design(12), &wl, &opts());

@@ -220,12 +220,6 @@ impl CostBackend for AnalyticBatched {
         "analytic"
     }
 
-    fn window_cycles(&self, q: &CostQuery) -> f64 {
-        let mut out = [0.0f64];
-        self.estimate_batch(std::slice::from_ref(q), &mut out);
-        out[0]
-    }
-
     /// Seed-blind: the expectation does not depend on the sampling seed,
     /// so every layer and every seed of a design point shares one cache
     /// entry.
@@ -364,7 +358,7 @@ mod tests {
                 q.software_precision
             );
         }
-        // The scalar entry point routes through the same caches.
+        // A one-query batch routes through the same caches.
         for q in &queries {
             assert_eq!(batched.window_cycles(q).to_bits(), closed_form(q).to_bits());
         }
