@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mpipu_analysis::dist::{Distribution, Sampler};
-use mpipu_datapath::{IntSignedness, Ipu, IpuConfig, McIpu};
+use mpipu_datapath::{IntSignedness, Ipu, IpuConfig};
 use mpipu_fp::Fp16;
 
 fn operands(n: usize, seed: u64) -> (Vec<Fp16>, Vec<Fp16>) {
@@ -22,7 +22,7 @@ fn bench_fp_ip(c: &mut Criterion) {
             bch.iter(|| ipu.fp_ip(&a, &b));
         });
         g.bench_with_input(BenchmarkId::new("mc_ipu", w), &w, |bch, _| {
-            let mut mc = McIpu::new(cfg);
+            let mut mc = Ipu::multi_cycle(cfg);
             bch.iter(|| mc.fp_ip(&a, &b));
         });
     }

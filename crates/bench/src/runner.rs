@@ -43,8 +43,8 @@ pub trait Experiment: Send + Sync {
 }
 
 /// Everything an experiment needs from its environment: sample scale,
-/// optional seed override, the worker-thread budget, the cost-estimation
-/// backend, and the event sink.
+/// optional seed override, the cost-estimation backend, and the event
+/// sink.
 pub struct RunCtx<'a> {
     /// Sample-count scale (1.0 = paper scale).
     pub scale: f64,
@@ -52,12 +52,6 @@ pub struct RunCtx<'a> {
     /// (paper) seed; `Some(s)` derives a distinct per-experiment seed
     /// from `s` — see [`RunCtx::seed_for`].
     pub seed: Option<u64>,
-    /// Size of the worker pool this run executes on — informational:
-    /// up to this many experiments run *concurrently*, so an experiment
-    /// wanting internal parallelism must assume its siblings share the
-    /// budget (spawning `threads` threads of its own would oversubscribe
-    /// the host `threads`-fold).
-    pub threads: usize,
     /// The cost-estimation backend the performance experiments route
     /// their `Scenario`s through (`.cost_backend(ctx.backend.clone())`).
     /// One instance is shared by every experiment of a run, so a
@@ -80,7 +74,6 @@ impl<'a> RunCtx<'a> {
         RunCtx {
             scale,
             seed: None,
-            threads: 1,
             backend: Backend::MonteCarlo.instantiate(),
             backend_explicit: false,
             sink,
@@ -214,7 +207,7 @@ pub fn run_on_backend(
                 let Some(exp) = experiments.get(i).copied() else {
                     break;
                 };
-                let outcome = run_one(exp, i, total, threads, opts, backend, sink);
+                let outcome = run_one(exp, i, total, opts, backend, sink);
                 outcomes.lock().unwrap()[i] = Some(outcome);
             });
         }
@@ -258,7 +251,6 @@ fn run_one(
     exp: &dyn Experiment,
     index: usize,
     total: usize,
-    threads: usize,
     opts: &RunOptions,
     backend: &Arc<dyn CostBackend>,
     sink: &dyn Sink,
@@ -272,7 +264,6 @@ fn run_one(
     let ctx = RunCtx {
         scale: opts.scale,
         seed: opts.seed,
-        threads,
         backend: backend.clone(),
         backend_explicit: opts.backend_explicit,
         sink,

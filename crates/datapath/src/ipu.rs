@@ -1,17 +1,34 @@
-//! `IPU(w)` — the approximate single-cycle-per-iteration inner-product unit
-//! (paper §2, Fig 1, Fig 2).
+//! The inner-product unit: `IPU(w)` (paper §2, Fig 1, Fig 2) and the
+//! multi-cycle `MC-IPU(w)` (§3.2, Fig 4/5).
 //!
-//! An `IPU(w)` has `n` 5-bit signed multipliers, a local right shifter per
-//! lane that can shift-and-truncate by up to `w` bits, a `w`-bit adder
-//! tree, and the non-normalized accumulator. FP16 operations take nine
-//! nibble iterations (3 nibbles × 3 nibbles); an INT operation of `Ka`- and
+//! A unit has `n` 5-bit signed multipliers, a local right shifter per lane
+//! that can shift-and-truncate by up to `w` bits, a `w`-bit adder tree, and
+//! the non-normalized accumulator. FP16 operations take nine nibble
+//! iterations (3 nibbles × 3 nibbles); an INT operation of `Ka`- and
 //! `Kb`-nibble operands takes `Ka·Kb` iterations, one cycle each.
+//!
+//! An `MC-IPU(w)` ([`Ipu::multi_cycle`]) keeps the narrow tree but serves
+//! alignments up to the *software precision* by splitting each nibble
+//! iteration into cycles. With partition width `sp` ([`partition_width`],
+//! shared with the cycle model: the safe precision `w − 9`), cycle `k`
+//! serves the products whose alignment lies in `[k·sp, (k+1)·sp)`:
+//!
+//! * lanes outside partition `k` are masked (the per-multiplier AND gates);
+//! * surviving lanes shift locally by `s − k·sp` (< `sp`, hence exact by
+//!   Proposition 1);
+//! * the adder-tree result carries an extra post-shift of `k·sp`
+//!   (`extra_sh_mnt` in Fig 4) into the accumulator.
+//!
+//! A tree as wide as the software precision takes one cycle per iteration
+//! (§4.3), so `IPU(w)` ([`Ipu::new`]) is `MC-IPU(w)` with its software
+//! precision clipped to `w`. [`McSchedule`] holds the cycles an op takes.
 
 use crate::accum::Accumulator;
 use crate::config::{AccFormat, IpuConfig};
-use crate::ehu::Ehu;
+use crate::ehu::{partition_bits, Ehu};
 use crate::kernel::{nibble_shift, FpOperand, Lanes, FP16_ITERATIONS};
 use crate::lane;
+use crate::theory::partition_width;
 use mpipu_fp::{FixedPoint, Fp16, FpFormat, Nibbles};
 
 /// Signedness of an INT-mode operand vector.
@@ -32,11 +49,44 @@ pub struct FpIpResult {
     pub fp16: Fp16,
     /// Write-back rounded to FP32.
     pub f32: f32,
-    /// Datapath cycles consumed (9 for a plain IPU).
+    /// Datapath cycles consumed (9 for a single-partition op).
     pub cycles: u64,
 }
 
-/// The approximate inner-product unit.
+/// Cycle schedule of one FP inner product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct McSchedule {
+    /// Non-empty alignment partitions as a bitmask: bit `k` is set when
+    /// cycle `k` of each nibble iteration serves some lane. An op with no
+    /// live lane idles one cycle in partition 0. FP16 alignments never
+    /// exceed 58 bits, so every partition index fits.
+    pub partition_mask: u64,
+    /// Cycles each of the nine nibble iterations takes.
+    pub cycles_per_iteration: u32,
+    /// Nibble iterations per FP16 operation (9 = 3×3).
+    pub iterations: u32,
+    /// Total cycles: `iterations · cycles_per_iteration`.
+    pub total_cycles: u64,
+}
+
+impl McSchedule {
+    fn new(partition_mask: u64) -> Self {
+        let cycles_per_iteration = partition_mask.count_ones();
+        McSchedule {
+            partition_mask,
+            cycles_per_iteration,
+            iterations: FP16_ITERATIONS as u32,
+            total_cycles: FP16_ITERATIONS * u64::from(cycles_per_iteration),
+        }
+    }
+
+    /// The non-empty alignment partitions, ascending.
+    pub fn partitions(&self) -> impl Iterator<Item = u32> {
+        partition_bits(self.partition_mask)
+    }
+}
+
+/// The inner-product unit.
 ///
 /// Holds accumulator state so callers can chain multiple vector pairs into
 /// one output pixel (`fp_ip_accumulate` / `int_ip_accumulate`), or use the
@@ -62,23 +112,52 @@ pub struct Ipu {
     acc: Accumulator,
     cycles: u64,
     lanes: Lanes,
+    /// The widest alignment EHU stage 4 serves.
+    reach: u32,
 }
 
 impl Ipu {
-    /// Build an IPU from a validated configuration.
+    /// Build an `IPU(w)` from a validated configuration: EHU stage 4 masks
+    /// alignments beyond both the software precision and the `w`-bit
+    /// shifter range, so every op takes one cycle per nibble iteration.
     pub fn new(cfg: IpuConfig) -> Self {
+        Self::build(cfg, cfg.software_precision.min(cfg.w))
+    }
+
+    /// Build an `MC-IPU(w)` from a validated configuration. The
+    /// configuration's `software_precision` may exceed `w` — that is the
+    /// whole point of the multi-cycle design.
+    pub fn multi_cycle(cfg: IpuConfig) -> Self {
+        Self::build(cfg, cfg.software_precision)
+    }
+
+    fn build(cfg: IpuConfig, reach: u32) -> Self {
         cfg.validate();
         Ipu {
             cfg,
             acc: Accumulator::new(cfg),
             cycles: 0,
             lanes: Lanes::new(cfg.n),
+            reach,
         }
     }
 
     /// The unit's configuration.
     pub fn config(&self) -> &IpuConfig {
         &self.cfg
+    }
+
+    /// Safe precision `sp = w − 9`.
+    pub fn safe_precision(&self) -> u32 {
+        self.cfg.safe_precision()
+    }
+
+    /// `true` when the adder tree covers every alignment stage 4 serves —
+    /// the unit then takes one cycle per nibble iteration (§4.3: "IPUs
+    /// with a 16b or larger adder tree take exactly one cycle per nibble
+    /// iteration" under FP16 accumulation). Always so for [`Ipu::new`].
+    pub fn single_cycle(&self) -> bool {
+        self.cfg.w >= self.reach
     }
 
     /// Total cycles consumed since the last [`Ipu::reset`].
@@ -97,14 +176,35 @@ impl Ipu {
         self.cycles = 0;
     }
 
-    /// The unit's EHU: stage 4 masks alignments beyond both the software
-    /// precision and the `w`-bit shifter range.
     fn ehu(&self) -> Ehu {
-        Ehu::new(self.cfg.software_precision.min(self.cfg.w))
+        Ehu::new(self.reach)
+    }
+
+    /// Plan the cycle schedule for a pair of FP16 vectors without
+    /// executing.
+    pub fn schedule(&self, a: &[Fp16], b: &[Fp16]) -> McSchedule {
+        self.lanes.check(a.len(), b.len());
+        let exps = a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| FpOperand::from_fp16(x).product_exp(FpOperand::from_fp16(y)));
+        let (_, shifts) = self.ehu().align(exps);
+        self.schedule_of(shifts.flatten())
+    }
+
+    /// Schedule for the live lanes' alignments; a single-cycle unit never
+    /// looks at them.
+    fn schedule_of(&self, live_shifts: impl Iterator<Item = u32>) -> McSchedule {
+        if self.single_cycle() {
+            return McSchedule::new(1);
+        }
+        let width = partition_width(self.cfg.w, self.reach);
+        let mask = live_shifts.fold(0u64, |mask, s| mask | 1 << (s / width));
+        McSchedule::new(mask.max(1))
     }
 
     /// One FP16 inner product, accumulated on top of existing state.
-    /// Returns the cycles consumed (always 9: one per nibble iteration).
+    /// Returns the schedule executed: 9 cycles for a single-partition op.
     ///
     /// Decodes both vectors into the unit's scratch and runs
     /// [`Ipu::fp_ip_accumulate_decoded`]'s kernel; neither allocates once
@@ -113,7 +213,7 @@ impl Ipu {
     /// # Panics
     /// Panics if the vectors differ in length, exceed the lane count, or
     /// hold an infinity or NaN.
-    pub fn fp_ip_accumulate(&mut self, a: &[Fp16], b: &[Fp16]) -> u64 {
+    pub fn fp_ip_accumulate(&mut self, a: &[Fp16], b: &[Fp16]) -> McSchedule {
         let ehu = self.ehu();
         self.lanes.load_fp16(ehu, a, b);
         self.run_iterations()
@@ -121,7 +221,7 @@ impl Ipu {
 
     /// [`Ipu::fp_ip_accumulate`] over operands decoded by the caller — for
     /// operands reused across many inner products, such as layer weights.
-    pub fn fp_ip_accumulate_decoded(&mut self, a: &[FpOperand], b: &[FpOperand]) -> u64 {
+    pub fn fp_ip_accumulate_decoded(&mut self, a: &[FpOperand], b: &[FpOperand]) -> McSchedule {
         let ehu = self.ehu();
         self.lanes.load(ehu, a, b);
         self.run_iterations()
@@ -132,33 +232,52 @@ impl Ipu {
     /// This is the `FP_IP` loop of paper Fig 2: for each `(i, j)` the lanes
     /// multiply, locally align (shift-truncate to the `w`-bit window), the
     /// adder tree sums, and the accumulator applies the nibble-significance
-    /// shift `4·((2−i)+(2−j))`. An op with no live lane still spends its
-    /// nine cycles but leaves the accumulator untouched.
-    fn run_iterations(&mut self) -> u64 {
-        let w = self.cfg.w;
-        let live = &self.lanes.live;
-        if !live.is_empty() {
+    /// shift `4·((2−i)+(2−j))`. An op with a live lane outside partition 0
+    /// runs one cycle per occupied partition of each iteration instead. An
+    /// op with no live lane still spends its nine cycles but leaves the
+    /// accumulator untouched.
+    fn run_iterations(&mut self) -> McSchedule {
+        let sched = self.schedule_of(self.lanes.live.iter().map(|l| l.shift));
+        let (w, width) = (self.cfg.w, partition_width(self.cfg.w, self.reach));
+        let (live, max_exp) = (&self.lanes.live, self.lanes.max_exp);
+        if sched.partition_mask != 1 {
+            for i in (0..3).rev() {
+                for j in (0..3).rev() {
+                    for k in sched.partitions() {
+                        // Cycle k: mask lanes outside [k·width, (k+1)·width),
+                        // shift the rest locally by the remainder.
+                        let sum = live
+                            .iter()
+                            .filter(|l| l.shift / width == k)
+                            .map(|l| l.window(i, j, l.shift - k * width, w))
+                            .sum();
+                        self.acc.add_fp(sum, max_exp, nibble_shift(i, j), k * width);
+                    }
+                }
+            }
+        } else if !live.is_empty() {
+            // Every live lane sits in partition 0 and aligns by its own
+            // shift: no lane to mask, no post-shift.
             for i in (0..3).rev() {
                 for j in (0..3).rev() {
                     let sum = live.iter().map(|l| l.window(i, j, l.shift, w)).sum();
-                    self.acc
-                        .add_fp(sum, self.lanes.max_exp, nibble_shift(i, j), 0);
+                    self.acc.add_fp(sum, max_exp, nibble_shift(i, j), 0);
                 }
             }
         }
-        self.cycles += FP16_ITERATIONS;
-        FP16_ITERATIONS
+        self.cycles += sched.total_cycles;
+        sched
     }
 
     /// Single-shot FP16 inner product: reset, run, read out.
     pub fn fp_ip(&mut self, a: &[Fp16], b: &[Fp16]) -> FpIpResult {
         self.reset();
-        let cycles = self.fp_ip_accumulate(a, b);
+        let sched = self.fp_ip_accumulate(a, b);
         FpIpResult {
             fixed: self.acc.fixed(),
             fp16: self.acc.read_fp16(),
             f32: self.acc.read_f32(),
-            cycles,
+            cycles: sched.total_cycles,
         }
     }
 
@@ -394,5 +513,140 @@ mod tests {
         let mut ipu = Ipu::new(IpuConfig::small(16));
         let v = fp16v(&[1.0; 9]);
         ipu.fp_ip(&v, &v);
+    }
+
+    #[test]
+    fn single_partition_matches_plain_ipu_bit_exact() {
+        // All alignments below sp ⇒ one cycle per iteration and identical
+        // numerics to IPU(w).
+        let a = fp16v(&[1.5, 1.25, -1.75, 1.0625]);
+        let b = fp16v(&[1.0, -1.5, 1.25, 1.75]);
+        let cfg = IpuConfig::small(16);
+        let mut mc = Ipu::multi_cycle(cfg);
+        let mut ipu = Ipu::new(cfg);
+        let rm = mc.fp_ip(&a, &b);
+        let ri = ipu.fp_ip(&a, &b);
+        assert_eq!(rm.fixed, ri.fixed);
+        assert_eq!(rm.cycles, 9);
+        assert_eq!(ri.cycles, 9);
+    }
+
+    #[test]
+    fn fig4_walkthrough_two_cycles() {
+        // Exponent spread (10, 2, 3, 8) with sp = 5 (w = 14): alignments
+        // (0, 8, 7, 2) ⇒ partitions {0, 1} ⇒ 2 cycles per iteration.
+        let a = fp16v(&[1024.0, 4.0, 8.0, 256.0]);
+        let b = fp16v(&[1.0, 1.0, 1.0, 1.0]);
+        let cfg = IpuConfig {
+            n: 4,
+            w: 14,
+            software_precision: 28,
+            acc: AccFormat::Fp32,
+            headroom_l: 10,
+        };
+        let mc = Ipu::multi_cycle(cfg);
+        let sched = mc.schedule(&a, &b);
+        assert_eq!(sched.partitions().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(sched.total_cycles, 18);
+    }
+
+    #[test]
+    fn multi_cycle_result_is_exact_for_spread_exponents() {
+        // Alignment 28 with w = 12 would truncate everything on a plain
+        // IPU; the MC-IPU recovers the small product exactly.
+        let a = fp16v(&[1024.0, 1.0 / 1024.0, 512.0]);
+        let b = fp16v(&[1024.0, 1.0 / 256.0, 2.0]);
+        let cfg = IpuConfig {
+            n: 3,
+            w: 12,
+            software_precision: 28,
+            acc: AccFormat::Fp32,
+            headroom_l: 10,
+        };
+        let mut mc = Ipu::multi_cycle(cfg);
+        let r = mc.fp_ip(&a, &b);
+        let exact = exact_dot_fp16(&a, &b).to_f64();
+        // Product exponents are 20, −18 and 10 ⇒ alignments 0, 38, 10.
+        // The 38-bit alignment exceeds the 28-bit software precision, so
+        // EHU stage 4 masks that lane; the other two are exact despite the
+        // 12-bit adder tree thanks to multi-cycling.
+        let kept = 1024.0 * 1024.0 + 512.0 * 2.0;
+        assert_eq!(r.fixed.to_f64(), kept);
+        assert_eq!(exact, kept + 2f64.powi(-18));
+    }
+
+    #[test]
+    fn masked_lanes_cost_no_cycles() {
+        let a = fp16v(&[1024.0, 1.0 / 1024.0]);
+        let b = fp16v(&[1024.0, 1.0 / 256.0]);
+        let cfg = IpuConfig {
+            n: 2,
+            w: 12,
+            software_precision: 28,
+            acc: AccFormat::Fp32,
+            headroom_l: 10,
+        };
+        let mc = Ipu::multi_cycle(cfg);
+        // Shifts 0 and 38 → lane 1 masked → single partition.
+        let sched = mc.schedule(&a, &b);
+        assert_eq!(sched.partitions().collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn deep_alignment_multi_cycle_recovers_accuracy() {
+        // Products at alignment 20: IPU(12) truncates them entirely
+        // (window is 12 bits); MC-IPU(12) serves them in partition 6 and
+        // keeps the value.
+        let big = 512.0f32; // exp 9 ⇒ product exp 18 with itself
+        let small = 2.0f32.powi(-5); // product with itself: exp -10
+        let a = fp16v(&[big, small]);
+        let b = fp16v(&[big, small]);
+        let exact = exact_dot_fp16(&a, &b).to_f64();
+        let cfg = IpuConfig {
+            n: 2,
+            w: 12,
+            software_precision: 28,
+            acc: AccFormat::Fp32,
+            headroom_l: 10,
+        };
+        let mut mc = Ipu::multi_cycle(cfg);
+        let r = mc.fp_ip(&a, &b);
+        assert_eq!(r.fixed.to_f64(), exact);
+        assert!(r.cycles > 9, "required multiple cycles, got {}", r.cycles);
+    }
+
+    #[test]
+    fn schedule_cycles_scale_with_spread() {
+        let cfg = IpuConfig::small(12).with_software_precision(28);
+        let mc = Ipu::multi_cycle(cfg);
+        // sp = 3. Alignments 0..=27 across 8 lanes ⇒ up to 8 partitions.
+        let a = fp16v(&[65504.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 2.0, 4.0]);
+        let b = fp16v(&[1.0; 8]);
+        let sched = mc.schedule(&a, &b);
+        assert!(sched.cycles_per_iteration >= 3);
+        assert_eq!(sched.total_cycles, 9 * sched.cycles_per_iteration as u64);
+    }
+
+    #[test]
+    fn int_mode_unaffected_by_mc() {
+        let cfg = IpuConfig::small(12);
+        let mut mc = Ipu::multi_cycle(cfg);
+        let a = [1, 2, 3, 4];
+        let b = [5, 6, 7, -8];
+        let r = mc.int_ip(&a, &b, 1, 1, IntSignedness::Signed, IntSignedness::Signed);
+        assert_eq!(r, 5 + 12 + 21 - 32);
+        assert_eq!(mc.cycles(), 1);
+    }
+
+    #[test]
+    fn accumulate_multiple_ops_tracks_cycles() {
+        let cfg = IpuConfig::small(16).with_software_precision(28);
+        let mut mc = Ipu::multi_cycle(cfg);
+        let a = fp16v(&[2.0, 3.0]);
+        let b = fp16v(&[4.0, 5.0]);
+        let s1 = mc.fp_ip_accumulate(&a, &b);
+        let s2 = mc.fp_ip_accumulate(&a, &b);
+        assert_eq!(mc.read_f32(), 2.0 * 23.0);
+        assert_eq!(mc.cycles(), s1.total_cycles + s2.total_cycles);
     }
 }

@@ -1,5 +1,5 @@
-//! The FP16 kernel state both inner-product units share: decoded operands
-//! and the per-lane scratch the nibble iterations run over.
+//! The FP16 kernel state of the inner-product unit: decoded operands and
+//! the per-lane scratch the nibble iterations run over.
 //!
 //! Each operand is decoded once into an [`FpOperand`] — its `{N0, N1, N2}`
 //! nibble split and its exponent. EHU stages 1–4 ([`Ehu::align`]) turn the

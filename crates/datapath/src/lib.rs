@@ -13,19 +13,19 @@
 //!   right-shift-and-truncate ([`lane`]), a `w`-bit adder tree, and a
 //!   non-normalized fixed-point **accumulator** ([`accum::Accumulator`])
 //!   that replaces left shifts with a swap + right shift.
-//! * **`IPU(w)`** ([`ipu::Ipu`]) — the approximate single-cycle-per-iteration
+//! * **`IPU(w)`** ([`Ipu::new`]) — the approximate single-cycle-per-iteration
 //!   unit: only the `w` most significant bits of each aligned product are
 //!   kept (paper Fig 2). Its FP16 kernel runs on operands decoded once
 //!   ([`FpOperand`]) and on per-lane scratch allocated with the unit.
-//! * **`MC-IPU(w)`** ([`mc::McIpu`]) — the multi-cycle unit of §3.2: products
-//!   are partitioned by required alignment into *safe-precision*-sized
-//!   windows and summed over multiple cycles, trading FP throughput for a
-//!   narrow adder tree.
+//! * **`MC-IPU(w)`** ([`Ipu::multi_cycle`]) — the same unit serving the
+//!   software precision over multiple cycles (§3.2): products are
+//!   partitioned by required alignment into *safe-precision*-sized
+//!   windows, trading FP throughput for a narrow adder tree.
 //! * **References & metrics** ([`mod@reference`], [`metrics`]) — exact
 //!   fixed-point dot products, FP32-CPU-style references, absolute/relative
 //!   error, and the paper's "contaminated bits" metric.
-//! * **Theory** ([`theory`]) — Theorem 1 absolute-error bound and
-//!   Proposition 1 (safe precision).
+//! * **Theory** ([`theory`]) — Theorem 1 absolute-error bound, Proposition 1
+//!   (safe precision), and the partition width shared with the cycle model.
 //!
 //! The emulation is exact in the sense that every architecturally lossy
 //! step (window truncation, accumulator alignment truncation, register
@@ -41,7 +41,6 @@ pub mod ehu;
 pub mod ipu;
 mod kernel;
 pub mod lane;
-pub mod mc;
 pub mod metrics;
 pub mod reference;
 pub mod theory;
@@ -49,9 +48,8 @@ pub mod theory;
 pub use accum::Accumulator;
 pub use config::{check_adder_tree, AccFormat, IpuConfig};
 pub use ehu::{AlignmentPlan, Ehu};
-pub use ipu::{FpIpResult, IntSignedness, Ipu};
+pub use ipu::{FpIpResult, IntSignedness, Ipu, McSchedule};
 pub use kernel::FpOperand;
-pub use mc::{McIpu, McSchedule};
 pub use metrics::{abs_error, contaminated_bits_f32, contaminated_bits_fp16, rel_error};
 pub use reference::{exact_dot_fp16, f32_cpu_dot, f64_dot};
 pub use theory::{safe_precision, theorem1_bound, theorem1_bound_tight};

@@ -1,11 +1,26 @@
 //! Analytical results: Theorem 1 (absolute error bound of the approximate
-//! nibble iteration) and Proposition 1 (safe precision).
+//! nibble iteration), Proposition 1 (safe precision), and the MC-IPU
+//! partition width the datapath and the cycle model in `mpipu-sim` share.
 
 /// Safe precision of an `IPU(w)`: alignments strictly below `w − 9` are
 /// served exactly by the local shifter (Proposition 1). Saturates at 1 for
 /// pathologically narrow trees so partitioning never divides by zero.
 pub fn safe_precision(w: u32) -> u32 {
     w.saturating_sub(9).max(1)
+}
+
+/// The MC-IPU partition width (EHU stage 5) for adder-tree width `w` under
+/// stage-4 software precision `software_precision`: a lane aligned by `s`
+/// runs in cycle `⌊s / width⌋` of each nibble iteration. A tree as wide as
+/// the software precision serves every alignment `s ≤ software_precision`
+/// in one cycle; a narrower one partitions by the safe precision.
+#[inline]
+pub fn partition_width(w: u32, software_precision: u32) -> u32 {
+    if w >= software_precision {
+        software_precision.saturating_add(1)
+    } else {
+        safe_precision(w)
+    }
 }
 
 /// Theorem 1, as printed in the paper: the absolute error of

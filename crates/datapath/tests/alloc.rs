@@ -1,10 +1,11 @@
-//! The FP16 kernels allocate nothing once a unit is built: a counting
-//! global allocator watches repeated inner products on `Ipu` and `McIpu`.
+//! The FP16 kernel allocates nothing once a unit is built: a counting
+//! global allocator watches repeated inner products on an `IPU(w)` and an
+//! `MC-IPU(w)`.
 //!
 //! A test binary of its own, so the allocator sees only this file's work;
 //! the count is per thread, so the harness's threads do not add to it.
 
-use mpipu_datapath::{AccFormat, FpOperand, Ipu, IpuConfig, McIpu};
+use mpipu_datapath::{AccFormat, FpOperand, Ipu, IpuConfig};
 use mpipu_fp::{Fp16, FpFormat};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,7 +101,7 @@ fn fp16_kernels_do_not_allocate_after_construction() {
         .collect();
     let mut ipu = Ipu::new(IpuConfig::big(16));
     // w = 12 under FP32 accumulation: sp = 3, so spread ops take many cycles.
-    let mut mc = McIpu::new(IpuConfig::big(12).with_acc(AccFormat::Fp32));
+    let mut mc = Ipu::multi_cycle(IpuConfig::big(12).with_acc(AccFormat::Fp32));
     ipu.fp_ip_accumulate(&ops[16].0, &ops[16].1);
     mc.fp_ip_accumulate(&ops[16].0, &ops[16].1);
 
@@ -110,6 +111,7 @@ fn fp16_kernels_do_not_allocate_after_construction() {
                 black_box(ipu.fp_ip_accumulate(a, b));
                 black_box(ipu.fp_ip_accumulate_decoded(da, db));
                 black_box(mc.fp_ip_accumulate(a, b));
+                black_box(mc.fp_ip_accumulate_decoded(da, db));
                 black_box(ipu.fp_ip(a, b));
                 black_box(mc.fp_ip(a, b));
             }

@@ -2,16 +2,15 @@
 
 use mpipu_datapath::{
     exact_dot_fp16, theorem1_bound_tight, AccFormat, FpOperand, IntSignedness, Ipu, IpuConfig,
-    McIpu,
 };
 use mpipu_fp::{Fp16, FpFormat};
 use proptest::prelude::*;
 
-/// A reference FP16 datapath for `Ipu` and `McIpu`: per-lane nibble
-/// vectors, a collected alignment plan, and a partition list per op. The
-/// nibble split and EHU stages 1–4 are written out here instead of
-/// borrowed from the library, so a change to either shows up as a
-/// mismatch against the kernel.
+/// A reference FP16 datapath for `Ipu::new` and `Ipu::multi_cycle`:
+/// per-lane nibble vectors, a collected alignment plan, and a partition
+/// list per op. The nibble split and EHU stages 1–4 are written out here
+/// instead of borrowed from the library, so a change to either shows up
+/// as a mismatch against the kernel.
 mod reference {
     use mpipu_datapath::accum::Accumulator;
     use mpipu_datapath::{lane, IpuConfig};
@@ -381,7 +380,7 @@ proptest! {
             acc: AccFormat::Fp32,
             headroom_l: 10,
         };
-        let mut mc = McIpu::new(cfg);
+        let mut mc = Ipu::multi_cycle(cfg);
         let r = mc.fp_ip(&a, &b);
         let exact = exact_dot_fp16(&a, &b).to_f64();
         let max_exp = a.iter().zip(&b).filter_map(|(&x, &y)| {
@@ -399,21 +398,21 @@ proptest! {
         prop_assert_eq!(r.cycles % 9, 0);
     }
 
-    /// MC-IPU with a single partition is bit-identical to the plain IPU.
+    /// `IPU(w)` is `MC-IPU(w)` with its software precision clipped to `w`:
+    /// after every op of a chain the two agree on accumulator contents,
+    /// overflow flag, cycles and schedule.
     #[test]
-    fn mc_equals_ipu_when_single_partition(
-        ab in prop::collection::vec((moderate_fp16(), moderate_fp16()), 1..=8),
-    ) {
-        let a: Vec<Fp16> = ab.iter().map(|p| p.0).collect();
-        let b: Vec<Fp16> = ab.iter().map(|p| p.1).collect();
-        // w = 38 ⇒ sp = 29 ≥ any moderate alignment (≤ 24): one partition.
-        let cfg = IpuConfig::small(38).with_software_precision(28);
-        let mut mc = McIpu::new(cfg);
+    fn mc_equals_ipu_when_single_partition(case in unit_and_chain()) {
+        let (cfg, ops) = case;
         let mut ipu = Ipu::new(cfg);
-        let rm = mc.fp_ip(&a, &b);
-        let ri = ipu.fp_ip(&a, &b);
-        prop_assert_eq!(rm.fixed, ri.fixed);
-        prop_assert_eq!(rm.cycles, 9);
+        let mut mc =
+            Ipu::multi_cycle(cfg.with_software_precision(cfg.software_precision.min(cfg.w)));
+        for (a, b) in &ops {
+            prop_assert_eq!(ipu.fp_ip_accumulate(a, b), mc.fp_ip_accumulate(a, b));
+            prop_assert_eq!(ipu.read_fixed(), mc.read_fixed(), "{:?}", cfg);
+            prop_assert_eq!(ipu.accumulator().overflowed(), mc.accumulator().overflowed());
+            prop_assert_eq!(ipu.cycles(), mc.cycles());
+        }
     }
 
     /// Write-back rounding consistency: the FP16 and FP32 read-outs round
@@ -502,19 +501,20 @@ proptest! {
         let mut ipu = Ipu::new(cfg);
         let mut oracle = reference::Ipu::new(cfg);
         for (a, b) in &ops {
-            prop_assert_eq!(ipu.fp_ip_accumulate(a, b), oracle.fp_ip_accumulate(a, b));
+            prop_assert_eq!(ipu.fp_ip_accumulate(a, b).total_cycles, oracle.fp_ip_accumulate(a, b));
             prop_assert_eq!(ipu.read_fixed(), oracle.acc.fixed(), "{:?}", cfg);
             prop_assert_eq!(ipu.accumulator().overflowed(), oracle.acc.overflowed());
             prop_assert_eq!(ipu.cycles(), oracle.cycles);
         }
     }
 
-    /// The `McIpu` kernel is bit-identical to the reference datapath too,
-    /// and its schedule matches both the reference and `McIpu::schedule`.
+    /// The `Ipu::multi_cycle` kernel is bit-identical to the reference
+    /// datapath too, and its schedule matches both the reference and
+    /// `Ipu::schedule`.
     #[test]
     fn mc_kernel_matches_reference(case in unit_and_chain()) {
         let (cfg, ops) = case;
-        let mut mc = McIpu::new(cfg);
+        let mut mc = Ipu::multi_cycle(cfg);
         let mut oracle = reference::McIpu::new(cfg);
         for (a, b) in &ops {
             let planned = mc.schedule(a, b);
@@ -536,19 +536,24 @@ proptest! {
         }
     }
 
-    /// Operands decoded by the caller give the same bits as raw FP16.
+    /// Operands decoded by the caller give the same bits as raw FP16, on
+    /// both constructors.
     #[test]
     fn decoded_operands_match_raw_fp16(case in unit_and_chain()) {
         let (cfg, ops) = case;
-        let mut raw = Ipu::new(cfg);
-        let mut decoded = Ipu::new(cfg);
-        for (a, b) in &ops {
-            let da: Vec<FpOperand> = a.iter().map(|&x| FpOperand::from_fp16(x)).collect();
-            let db: Vec<FpOperand> = b.iter().map(|&x| FpOperand::from_fp16(x)).collect();
-            raw.fp_ip_accumulate(a, b);
-            decoded.fp_ip_accumulate_decoded(&da, &db);
-            prop_assert_eq!(raw.read_fixed(), decoded.read_fixed());
-            prop_assert_eq!(raw.cycles(), decoded.cycles());
+        for build in [Ipu::new, Ipu::multi_cycle] {
+            let mut raw = build(cfg);
+            let mut decoded = build(cfg);
+            for (a, b) in &ops {
+                let da: Vec<FpOperand> = a.iter().map(|&x| FpOperand::from_fp16(x)).collect();
+                let db: Vec<FpOperand> = b.iter().map(|&x| FpOperand::from_fp16(x)).collect();
+                prop_assert_eq!(
+                    raw.fp_ip_accumulate(a, b),
+                    decoded.fp_ip_accumulate_decoded(&da, &db)
+                );
+                prop_assert_eq!(raw.read_fixed(), decoded.read_fixed());
+                prop_assert_eq!(raw.cycles(), decoded.cycles());
+            }
         }
     }
 }

@@ -141,29 +141,11 @@ pub fn fp16_operands(values: &[f32]) -> Vec<FpOperand> {
         .collect()
 }
 
-/// Emulated linear layer: FP16 operands through the IPU datapath; the bias
-/// is added in the write-back format afterwards (the conversion unit is
-/// outside the IPU, paper Appendix B).
-///
-/// Decodes `x` and every weight on each call; a caller replaying the same
-/// weights many times decodes them once and calls [`linear_decoded`].
-pub fn linear_emulated(x: &[f32], weight: &Tensor, bias: &[f32], cfg: IpuConfig) -> Vec<f32> {
-    let (k, c) = (weight.shape()[0], weight.shape()[1]);
-    assert_eq!(x.len(), c);
-    assert_eq!(bias.len(), k);
-    linear_decoded(
-        &mut Ipu::new(cfg),
-        &fp16_operands(x),
-        &fp16_operands(weight.data()),
-        bias,
-    )
-}
-
-/// The emulated linear layer over decoded operands, behind both
-/// [`linear_emulated`] and the MLP replay: output `o` resets `ipu`,
-/// accumulates `x` against row `o` of `weight` (row-major
-/// `[bias.len(), x.len()]`) in chunks of the lane count, and adds
-/// `bias[o]` to the write-back value.
+/// Emulated linear layer over decoded FP16 operands, behind the MLP
+/// replay: output `o` resets `ipu`, accumulates `x` against row `o` of
+/// `weight` (row-major `[bias.len(), x.len()]`) in chunks of the lane
+/// count, and adds `bias[o]` to the write-back value (the conversion unit
+/// is outside the IPU, paper Appendix B).
 pub fn linear_decoded(
     ipu: &mut Ipu,
     x: &[FpOperand],
@@ -191,27 +173,6 @@ pub fn softmax(x: &[f32]) -> Vec<f32> {
     let exps: Vec<f32> = x.iter().map(|&v| (v - m).exp()).collect();
     let s: f32 = exps.iter().sum();
     exps.into_iter().map(|e| e / s).collect()
-}
-
-/// 2×2 max pooling with stride 2 on `[C, H, W]`.
-pub fn maxpool2x2(input: &Tensor) -> Tensor {
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let (ho, wo) = (h / 2, w / 2);
-    let mut out = Tensor::zeros(&[c, ho, wo]);
-    for ic in 0..c {
-        for oh in 0..ho {
-            for ow in 0..wo {
-                let m = input
-                    .at3(ic, 2 * oh, 2 * ow)
-                    .max(input.at3(ic, 2 * oh, 2 * ow + 1))
-                    .max(input.at3(ic, 2 * oh + 1, 2 * ow))
-                    .max(input.at3(ic, 2 * oh + 1, 2 * ow + 1));
-                let o = out.idx3(ic, oh, ow);
-                out.data_mut()[o] = m;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -303,13 +264,18 @@ mod tests {
     }
 
     #[test]
-    fn linear_emulated_matches_reference_fp32_acc() {
+    fn linear_decoded_matches_reference_fp32_acc() {
         let w = seq_tensor(&[8, 37], 0.1); // odd C exercises the tail chunk
         let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.03) - 0.5).collect();
         let b = vec![0.1; 8];
         let y32 = linear_f32(&x, &w, &b);
         let cfg = IpuConfig::big(28).with_acc(AccFormat::Fp32);
-        let ye = linear_emulated(&x, &w, &b, cfg);
+        let ye = linear_decoded(
+            &mut Ipu::new(cfg),
+            &fp16_operands(&x),
+            &fp16_operands(w.data()),
+            &b,
+        );
         for (a, e) in y32.iter().zip(&ye) {
             assert!((a - e).abs() < 5e-3, "{a} vs {e}");
         }
@@ -323,13 +289,5 @@ mod tests {
         // Stability under large inputs.
         let p = softmax(&[1000.0, 1001.0]);
         assert!(p[1] > p[0] && p.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn maxpool_picks_window_max() {
-        let t = Tensor::from_vec(&[1, 2, 4], vec![1.0, 5.0, 2.0, 0.0, 3.0, -1.0, 8.0, 2.0]);
-        let p = maxpool2x2(&t);
-        assert_eq!(p.shape(), &[1, 1, 2]);
-        assert_eq!(p.data(), &[5.0, 8.0]);
     }
 }

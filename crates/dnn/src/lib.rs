@@ -11,9 +11,9 @@
 //!   InceptionV3 forward; ResNet-18 backward), used by the cycle
 //!   simulator as workload definitions.
 //! * [`tensor`] — a small row-major f32 tensor with shape algebra.
-//! * [`layers`] — conv2d / linear / relu / pooling / softmax forward
-//!   passes, each with a reference f32 path and an *emulated* path that
-//!   routes every inner product through the bit-accurate IPU datapath.
+//! * [`layers`] — conv2d / linear / softmax forward passes, the conv and
+//!   linear layers each with a reference f32 path and an *emulated* path
+//!   that routes every inner product through the bit-accurate IPU datapath.
 //! * [`train`] — a tiny from-scratch SGD trainer (an MLP with
 //!   hand-written backprop) for the accuracy-vs-precision study (§3.1:
 //!   "IPU precision of 12 or more maintains the same accuracy").
@@ -29,7 +29,7 @@ pub mod tensor;
 pub mod train;
 pub mod zoo;
 
-pub use layers::{conv2d_emulated, conv2d_f32, linear_decoded, linear_emulated, linear_f32};
+pub use layers::{conv2d_emulated, conv2d_f32, linear_decoded, linear_f32};
 pub use shape::ConvShape;
 pub use tensor::Tensor;
 pub use zoo::{Network, Pass, Workload};

@@ -72,13 +72,6 @@ impl Mlp {
         self.forward_full(x).pop().unwrap()
     }
 
-    /// Logits with every linear layer routed through the emulated IPU.
-    /// Decodes the weights on each call; replays over many samples go
-    /// through [`Mlp::decoded`].
-    pub fn logits_emulated(&self, x: &[f32], cfg: IpuConfig) -> Vec<f32> {
-        self.decoded().logits(&mut Ipu::new(cfg), x)
-    }
-
     /// The weights decoded once for emulated replay at any IPU
     /// configuration.
     pub fn decoded(&self) -> DecodedMlp<'_> {

@@ -145,11 +145,6 @@ impl Axis {
         Axis::NTiles(values)
     }
 
-    /// Sweep the tile count over powers of two `lo, 2lo, …, ≤ hi`.
-    pub fn n_tiles_log2(lo: usize, hi: usize) -> Axis {
-        Axis::NTiles(log2_range(lo, hi))
-    }
-
     /// Sweep the tile geometry.
     pub fn tile(values: Vec<TileChoice>) -> Axis {
         Axis::Tile(values)

@@ -63,19 +63,22 @@ fn stream_seed(seed: u64, rung: usize, stream: u64) -> u64 {
         ^ stream.wrapping_mul(0xbf58_476d_1ce4_e5b9)
 }
 
-/// Visit every single-move neighbor of `coords` — ±1 per ordinary
-/// axis, every single-bit flip on a [`Axis::ScheduleMask`] — in
-/// canonical (axis, lower-side-first) order.
-fn ring1(space: &ParamSpace, coords: &[usize], mut visit: impl FnMut(DesignId)) {
+/// Visit every single-coordinate move of `coords` at distance `d` — ±d per
+/// ordinary axis, every single-bit flip on a [`Axis::ScheduleMask`] at
+/// `d = 1` — in canonical (axis, lower-side-first) order.
+fn moves(space: &ParamSpace, coords: &[usize], d: usize, mut visit: impl FnMut(DesignId)) {
     let mut scratch = coords.to_vec();
     for (a, axis) in space.axes().iter().enumerate() {
         let c = coords[a];
         let steps: Vec<usize> = match axis {
-            Axis::ScheduleMask { layers } => (0..*layers).map(|l| c ^ (1usize << l)).collect(),
-            _ => (c > 0)
-                .then(|| c - 1)
+            Axis::ScheduleMask { layers } if d == 1 => {
+                (0..*layers).map(|l| c ^ (1usize << l)).collect()
+            }
+            Axis::ScheduleMask { .. } => Vec::new(),
+            _ => (c >= d)
+                .then(|| c - d)
                 .into_iter()
-                .chain((c + 1 < axis.len()).then_some(c + 1))
+                .chain((c + d < axis.len()).then_some(c + d))
                 .collect(),
         };
         for next in steps {
@@ -224,38 +227,23 @@ impl Searcher for NeighborSearcher {
     ) -> Vec<DesignId> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        let mut coords = Vec::new();
-        let ring = space.axes().iter().map(Axis::len).max().unwrap_or(1);
-        'outer: for d in 1..ring.max(2) {
+        // Moves only thin out with distance (a mask axis moves at d = 1
+        // only), so the first distance without one ends the walk.
+        for d in 1.. {
+            let mut moved = false;
             for s in state.survivors {
-                for (a, axis) in space.axes().iter().enumerate() {
-                    let c = s.coords[a];
-                    let steps: Vec<usize> = match axis {
-                        Axis::ScheduleMask { layers } if d == 1 => {
-                            (0..*layers).map(|l| c ^ (1usize << l)).collect()
-                        }
-                        Axis::ScheduleMask { .. } => Vec::new(),
-                        _ => (c >= d)
-                            .then(|| c - d)
-                            .into_iter()
-                            .chain((c + d < axis.len()).then_some(c + d))
-                            .collect(),
-                    };
-                    for next in steps {
-                        coords.clear();
-                        coords.extend_from_slice(&s.coords);
-                        coords[a] = next;
-                        let Some(id) = space.id_of(&coords) else {
-                            continue;
-                        };
-                        if !state.visited.contains(&id.0) && seen.insert(id.0) {
-                            out.push(id);
-                            if out.len() >= budget {
-                                break 'outer;
-                            }
-                        }
+                moves(space, &s.coords, d, |id| {
+                    moved = true;
+                    if out.len() < budget && !state.visited.contains(&id.0) && seen.insert(id.0) {
+                        out.push(id);
                     }
+                });
+                if out.len() >= budget {
+                    return out;
                 }
+            }
+            if !moved {
+                break;
             }
         }
         out
@@ -818,7 +806,7 @@ impl SearchEngine {
             for _ in 0..radius {
                 let mut next: Vec<Vec<usize>> = Vec::new();
                 for coords in &layer {
-                    ring1(space, coords, |id| {
+                    moves(space, coords, 1, |id| {
                         if expanded.insert(id.0) {
                             if !visited.contains(&id.0) {
                                 ring.push(id);
@@ -941,6 +929,33 @@ mod tests {
             let yb: Vec<u64> = y.values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(xb, yb, "values at id {}", x.id.0);
         }
+    }
+
+    #[test]
+    fn neighbor_proposals_run_distance_survivor_axis_lower_side_first() {
+        // A budget that runs out inside the second distance pins the
+        // order, not just the set, of the proposals.
+        let space = space();
+        let id = |c: [usize; 2]| space.id_of(&c).expect("in range");
+        let survivor = |c: [usize; 2]| Survivor {
+            id: id(c),
+            coords: c.to_vec(),
+            keyed: Vec::new(),
+        };
+        let survivors = [survivor([5, 1]), survivor([0, 3])];
+        let visited: HashSet<u64> = [id([6, 1]).0].into();
+        let state = SearchState {
+            rung: 1,
+            frontier: &[],
+            frontier_keyed: &[],
+            survivors: &survivors,
+            visited: &visited,
+        };
+        let want: Vec<DesignId> = [[4, 1], [5, 0], [5, 2], [1, 3], [0, 2], [3, 1], [7, 1]]
+            .into_iter()
+            .map(id)
+            .collect();
+        assert_eq!(NeighborSearcher::new().propose(&space, &state, 7), want);
     }
 
     #[test]

@@ -37,10 +37,6 @@ pub use magnitude::SignedMagnitude;
 pub use nibble::{fp16_nibbles, Nibbles};
 pub use round::{round_to_f32_rne, round_to_fp16_rne, FixedPoint};
 
-/// Range of the unbiased exponent of a single FP16 value: `[-14, 15]`
-/// (subnormals share `-14`; see paper Appendix A.2).
-pub const FP16_EXP_RANGE: (i32, i32) = (-14, 15);
-
 /// Range of the unbiased exponent of a *product* of two FP16 values:
 /// `[-28, 30]`, hence a worst-case alignment of 58 bits (paper §1, §2.2).
 pub const FP16_PRODUCT_EXP_RANGE: (i32, i32) = (-28, 30);

@@ -38,9 +38,9 @@
 //! `.backend(Backend::Analytic)`, and the suite CLI exposes
 //! `--backend {mc,analytic,memoized,memoized-analytic}`.
 
-use crate::cost::safe_precision;
 use crate::tile::TileConfig;
 use mpipu_analysis::dist::Distribution;
+use mpipu_datapath::theory::partition_width;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -453,7 +453,7 @@ impl StepCost {
         dists: (Distribution, Distribution),
     ) -> StepCost {
         let (dead, live) = product_exponent_pmf(dists.0, dists.1);
-        let sp = safe_precision(w, software_precision);
+        let sp = partition_width(w, software_precision);
         let partitions_pmf = ipu_partition_pmf(tile.c_unroll, sp, software_precision, dead, &live);
         StepCost {
             partitions_pmf,
@@ -996,7 +996,7 @@ mod tests {
         let mut acts = vec![None; pixels * n];
         let mut wgts = vec![None; tile.k_unroll * n];
         let ehu = Ehu::new(q.software_precision);
-        let sp = safe_precision(q.w, q.software_precision);
+        let sp = partition_width(q.w, q.software_precision);
         let mut streams = vec![Vec::new(); tile.clusters()];
         for _ in 0..q.window {
             act.fill(&mut acts);
@@ -1108,7 +1108,7 @@ mod tests {
             for pass in [Pass::Forward, Pass::Backward] {
                 let (act, wgt) = crate::cost::pass_distributions(pass);
                 let (dead, live) = product_exponent_pmf(act, wgt);
-                let sp = safe_precision(w, swp);
+                let sp = partition_width(w, swp);
                 let pmf = ipu_partition_pmf(8, sp, swp, dead, &live);
                 let from_pmf: f64 = pmf
                     .iter()

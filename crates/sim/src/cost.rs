@@ -6,7 +6,8 @@
 //! step for IPU `(k, pixel)` is `9 ×` the number of occupied alignment
 //! windows of its product exponents — computed with the *same* EHU rule
 //! as the bit-accurate datapath ([`Ehu::align_set`] for stages 2–4,
-//! [`occupied_windows`] for stage 5). A cluster spends the max over its
+//! [`occupied_windows`] for stage 5, over the datapath's own
+//! [`partition_width`]). A cluster spends the max over its
 //! IPUs, and the cluster FIFO replay ([`simulate_clusters`]) turns the
 //! per-cluster step streams into a window's cycles.
 //!
@@ -23,8 +24,8 @@
 //! 1. groups a slab by draw class and samples each class once, recording
 //!    every IPU's live product exponents per step as a `u64` set (bit
 //!    `p + 28`);
-//! 2. prices the sets once per `(software precision, safe precision)`;
-//! 3. answers each distinct `(software precision, safe precision, cluster
+//! 2. prices the sets once per `(software precision, partition width)`;
+//! 3. answers each distinct `(software precision, partition width, cluster
 //!    size, buffer depth)` once; duplicate queries reuse the answer.
 //!
 //! Every answer is a function of its own query alone, so the composition
@@ -36,6 +37,7 @@ use crate::backend::{dist_key, CostQuery};
 use crate::engine::simulate_clusters;
 use mpipu_analysis::dist::{Distribution, ExpSampler};
 use mpipu_datapath::ehu::{occupied_windows, PRODUCT_EXP_BIAS};
+use mpipu_datapath::theory::partition_width;
 use mpipu_datapath::Ehu;
 use mpipu_dnn::zoo::Pass;
 use std::collections::HashMap;
@@ -51,20 +53,6 @@ pub fn pass_distributions(pass: Pass) -> (Distribution, Distribution) {
     match pass {
         Pass::Forward => (Distribution::Resnet18Like, Distribution::WeightLike),
         Pass::Backward => (Distribution::BackwardLike, Distribution::WeightLike),
-    }
-}
-
-/// The MC-IPU partition window (safe precision) for adder-tree width `w`
-/// under the given stage-4 software precision. Shared by the sampling
-/// and analytic backends so both partition identically.
-pub fn safe_precision(w: u32, software_precision: u32) -> u32 {
-    // w ≥ software precision ⇒ the plain approximate IPU covers the
-    // requirement in one cycle (sp = software precision disables
-    // partitioning); otherwise partition by the safe precision.
-    if w >= software_precision {
-        software_precision.saturating_add(1) // covers s = swp inclusive: 1 cycle
-    } else {
-        w.saturating_sub(9).max(1)
     }
 }
 
@@ -94,7 +82,7 @@ impl DrawClass {
 }
 
 /// The query fields that decide how a class's draws are priced, in
-/// pricing order: `(software precision, safe precision)` fixes every
+/// pricing order: `(software precision, partition width)` fixes every
 /// IPU's step costs, the cluster size their per-cluster maxima, and the
 /// buffer depth the FIFO replay.
 type PriceKey = (u32, u32, usize, usize);
@@ -102,7 +90,7 @@ type PriceKey = (u32, u32, usize, usize);
 fn price_key(q: &CostQuery) -> PriceKey {
     (
         q.software_precision,
-        safe_precision(q.w, q.software_precision),
+        partition_width(q.w, q.software_precision),
         q.tile.cluster_size,
         q.tile.buffer_depth,
     )

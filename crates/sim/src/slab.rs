@@ -9,7 +9,7 @@
 //!
 //! * Queries collapse into **DP equivalence classes** (`DpClass`): the
 //!   sequential-binomial partition-count DP depends only on the IPU lane
-//!   count, the safe precision `sp(w, swp)`, the software precision, and
+//!   count, the partition width `sp(w, swp)`, the software precision, and
 //!   the operand-distribution pair. Everything else (cluster size,
 //!   buffer depth, window length, seed) scales or selects *after* the
 //!   DP. The operand PMFs and the product-exponent convolution are
@@ -35,9 +35,9 @@ use crate::backend::{
     dist_key, ipu_partition_pmf, product_exponent_pmf, CacheKey, CacheStats, CostBackend,
     CostQuery, PROD_EXPS,
 };
-use crate::cost::safe_precision;
 use crate::engine::constant_stream_cycles;
 use mpipu_analysis::dist::Distribution;
+use mpipu_datapath::theory::partition_width;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -49,7 +49,7 @@ use std::sync::{Arc, RwLock};
 struct DpClass {
     /// IPU lane count (`tile.c_unroll`).
     lanes: usize,
-    /// Effective safe precision `sp(w, software_precision)` — the only
+    /// Partition width `partition_width(w, software_precision)` — the only
     /// channel through which `w` reaches the DP.
     sp: u32,
     /// Software (accumulation) precision.
@@ -63,7 +63,7 @@ impl DpClass {
     fn of(q: &CostQuery) -> DpClass {
         DpClass {
             lanes: q.tile.c_unroll,
-            sp: safe_precision(q.w, q.software_precision),
+            sp: partition_width(q.w, q.software_precision),
             software_precision: q.software_precision,
             act: dist_key(q.dists.0),
             wgt: dist_key(q.dists.1),

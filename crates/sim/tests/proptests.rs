@@ -16,9 +16,10 @@ use std::sync::Arc;
 /// value-sampling pipeline it was itself checked against.
 mod oracle {
     use mpipu_analysis::dist::{Distribution, ExpSampler};
+    use mpipu_datapath::theory::partition_width;
     use mpipu_datapath::Ehu;
     use mpipu_dnn::zoo::Pass;
-    use mpipu_sim::cost::{pass_distributions, safe_precision};
+    use mpipu_sim::cost::pass_distributions;
     use mpipu_sim::TileConfig;
 
     /// Cluster costs of one broadcast step from explicit operand
@@ -82,7 +83,7 @@ mod oracle {
                 act: ExpSampler::new(act, seed),
                 wgt: ExpSampler::new(wgt, seed ^ 0x9e37_79b9),
                 ehu: Ehu::new(swp),
-                sp: safe_precision(w, swp),
+                sp: partition_width(w, swp),
                 tile,
             }
         }
@@ -114,10 +115,11 @@ mod oracle {
     /// the sort-based partition list.
     pub mod reference {
         use mpipu_analysis::dist::Sampler;
+        use mpipu_datapath::theory::partition_width;
         use mpipu_datapath::Ehu;
         use mpipu_dnn::zoo::Pass;
         use mpipu_fp::SignedMagnitude;
-        use mpipu_sim::cost::{pass_distributions, safe_precision};
+        use mpipu_sim::cost::pass_distributions;
         use mpipu_sim::TileConfig;
 
         /// [`super::step_costs_from_exps`] through `Ehu::plan` and
@@ -163,7 +165,7 @@ mod oracle {
                     act: Sampler::new(act, seed),
                     wgt: Sampler::new(wgt, seed ^ 0x9e37_79b9),
                     ehu: Ehu::new(swp),
-                    sp: safe_precision(w, swp),
+                    sp: partition_width(w, swp),
                     tile,
                 }
             }

@@ -6,7 +6,7 @@
 //! cargo run --example fp16_formats
 //! ```
 
-use mpipu::datapath::{AccFormat, Ehu, IpuConfig, McIpu};
+use mpipu::datapath::{AccFormat, Ehu, Ipu, IpuConfig};
 use mpipu::fp::{Bf16, Fp16, FpFormat, Nibbles, SignedMagnitude, Tf32};
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
         acc: AccFormat::Fp32,
         headroom_l: 10,
     };
-    let mc = McIpu::new(cfg);
+    let mc = Ipu::multi_cycle(cfg);
     let a: Vec<Fp16> = [1024.0f32, 4.0, 8.0, 256.0]
         .iter()
         .map(|&x| Fp16::from_f32(x))

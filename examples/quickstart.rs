@@ -8,7 +8,7 @@
 //! Runs at smoke scale (small sampled-step counts) so CI can execute it
 //! on every push; scale up with `.sample_steps(512)` for paper fidelity.
 
-use mpipu::datapath::{exact_dot_fp16, IntSignedness, Ipu, IpuConfig, McIpu};
+use mpipu::datapath::{exact_dot_fp16, IntSignedness, Ipu, IpuConfig};
 use mpipu::fp::{Fp16, FpFormat};
 use mpipu::sim::Schedule;
 use mpipu::{Scenario, Zoo};
@@ -82,7 +82,7 @@ fn main() {
     // The same dot product on a narrow multi-cycle unit: MC-IPU(12)
     // keeps a 12-bit adder tree but serves 28-bit alignments over
     // multiple cycles, trading FP throughput for area.
-    let mut mc = McIpu::new(IpuConfig::big(12)); // software precision stays 28
+    let mut mc = Ipu::multi_cycle(IpuConfig::big(12)); // software precision stays 28
     let mc_result = mc.fp_ip(&a, &b);
     println!("\nSame operands on MC-IPU(12):");
     println!("  result = {} ({} cycles)", mc_result.f32, mc_result.cycles);

@@ -5,7 +5,7 @@
 use mpipu::analysis::dist::Distribution;
 use mpipu::analysis::hist::exponent_histogram;
 use mpipu::analysis::sweep::{precision_sweep, SweepConfig};
-use mpipu::datapath::{exact_dot_fp16, AccFormat, Ipu, IpuConfig, McIpu};
+use mpipu::datapath::{exact_dot_fp16, AccFormat, Ipu, IpuConfig};
 use mpipu::dnn::layers::{conv2d_emulated, conv2d_f32};
 use mpipu::dnn::synthetic::fill_normal;
 use mpipu::dnn::tensor::Tensor;
@@ -51,7 +51,7 @@ fn mc_ipu_narrow_tree_equals_wide_tree_quality() {
     let mut sampler = mpipu::analysis::dist::Sampler::new(Distribution::BackwardLike, 5);
     let cfg_narrow = IpuConfig::big(12); // software precision 28
     let cfg_wide = IpuConfig::big(38).with_software_precision(28);
-    let mut mc = McIpu::new(cfg_narrow);
+    let mut mc = Ipu::multi_cycle(cfg_narrow);
     let mut wide = Ipu::new(cfg_wide);
     for _ in 0..200 {
         let a = sampler.sample_vec(16);
