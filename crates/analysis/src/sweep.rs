@@ -9,7 +9,8 @@
 
 use crate::dist::{Distribution, Sampler};
 use mpipu_datapath::{
-    contaminated_bits_f32, contaminated_bits_fp16, f32_cpu_dot, metrics, AccFormat, Ipu, IpuConfig,
+    contaminated_bits_f32, contaminated_bits_fp16, f32_cpu_dot, metrics, AccFormat, FpOperand, Ipu,
+    IpuConfig,
 };
 use mpipu_fp::{Fp16, FpFormat};
 
@@ -61,49 +62,72 @@ pub struct PrecisionRow {
 }
 
 /// Run a precision sweep (the Fig 3 experiment).
+///
+/// One pass over the sample pairs: each pair is drawn, decoded and
+/// priced by the FP32-CPU reference once, then run on every precision's
+/// unit, so every precision sees identical inputs (paired comparison,
+/// as in the paper).
 pub fn precision_sweep(cfg: &SweepConfig) -> Vec<PrecisionRow> {
-    // Pre-draw the sample set once so every precision sees identical
-    // inputs (paired comparison, as in the paper).
-    let mut sampler = Sampler::new(cfg.dist, cfg.seed);
-    let pairs: Vec<(Vec<Fp16>, Vec<Fp16>)> = (0..cfg.samples)
-        .map(|_| (sampler.sample_vec(cfg.n), sampler.sample_vec(cfg.n)))
-        .collect();
-
-    cfg.precisions
+    /// One precision's unit and its per-sample error series.
+    struct Series {
+        ipu: Ipu,
+        abs_errs: Vec<f64>,
+        rel_errs: Vec<f64>,
+        contam: Vec<f64>,
+    }
+    let mut series: Vec<Series> = cfg
+        .precisions
         .iter()
-        .map(|&p| {
-            let ipu_cfg = IpuConfig {
+        .map(|&p| Series {
+            ipu: Ipu::new(IpuConfig {
                 n: cfg.n,
                 w: p,
                 software_precision: p,
                 acc: cfg.acc,
                 headroom_l: 10,
+            }),
+            abs_errs: Vec::with_capacity(cfg.samples),
+            rel_errs: Vec::with_capacity(cfg.samples),
+            contam: Vec::with_capacity(cfg.samples),
+        })
+        .collect();
+    let decode =
+        |v: &[Fp16]| -> Vec<FpOperand> { v.iter().map(|&x| FpOperand::from_fp16(x)).collect() };
+    let mut sampler = Sampler::new(cfg.dist, cfg.seed);
+    for _ in 0..cfg.samples {
+        let (a, b) = (sampler.sample_vec(cfg.n), sampler.sample_vec(cfg.n));
+        let reference = f32_cpu_dot(&a, &b);
+        let ref16 = Fp16::from_f32(reference);
+        let (a, b) = (decode(&a), decode(&b));
+        for s in &mut series {
+            s.ipu.reset();
+            s.ipu.fp_ip_accumulate_decoded(&a, &b);
+            let (approx_val, bits) = match cfg.acc {
+                AccFormat::Fp16 => {
+                    let r = s.ipu.read_fp16();
+                    (r.to_f64(), contaminated_bits_fp16(r, ref16))
+                }
+                AccFormat::Fp32 => {
+                    let r = s.ipu.read_f32();
+                    (r as f64, contaminated_bits_f32(r, reference))
+                }
             };
-            let mut ipu = Ipu::new(ipu_cfg);
-            let mut abs_errs = Vec::with_capacity(cfg.samples);
-            let mut rel_errs = Vec::with_capacity(cfg.samples);
-            let mut contam = Vec::with_capacity(cfg.samples);
-            for (a, b) in &pairs {
-                let r = ipu.fp_ip(a, b);
-                let reference = f32_cpu_dot(a, b);
-                let (approx_val, bits) = match cfg.acc {
-                    AccFormat::Fp16 => {
-                        let ref16 = Fp16::from_f32(reference);
-                        (r.fp16.to_f64(), contaminated_bits_fp16(r.fp16, ref16))
-                    }
-                    AccFormat::Fp32 => (r.f32 as f64, contaminated_bits_f32(r.f32, reference)),
-                };
-                abs_errs.push(metrics::abs_error(approx_val, reference as f64));
-                rel_errs.push(metrics::rel_error(approx_val, reference as f64));
-                contam.push(bits as f64);
-            }
-            PrecisionRow {
-                precision: p,
-                median_abs_err: metrics::median(&abs_errs),
-                median_rel_err_pct: metrics::median(&rel_errs),
-                median_contaminated: metrics::median(&contam),
-                mean_contaminated: metrics::mean(&contam),
-            }
+            s.abs_errs
+                .push(metrics::abs_error(approx_val, reference as f64));
+            s.rel_errs
+                .push(metrics::rel_error(approx_val, reference as f64));
+            s.contam.push(bits as f64);
+        }
+    }
+    cfg.precisions
+        .iter()
+        .zip(series)
+        .map(|(&precision, s)| PrecisionRow {
+            precision,
+            median_abs_err: metrics::median(&s.abs_errs),
+            median_rel_err_pct: metrics::median(&s.rel_errs),
+            median_contaminated: metrics::median(&s.contam),
+            mean_contaminated: metrics::mean(&s.contam),
         })
         .collect()
 }

@@ -147,16 +147,11 @@ impl Ipu {
         &self.cfg
     }
 
-    /// Safe precision `sp = w − 9`.
-    pub fn safe_precision(&self) -> u32 {
-        self.cfg.safe_precision()
-    }
-
     /// `true` when the adder tree covers every alignment stage 4 serves —
     /// the unit then takes one cycle per nibble iteration (§4.3: "IPUs
     /// with a 16b or larger adder tree take exactly one cycle per nibble
     /// iteration" under FP16 accumulation). Always so for [`Ipu::new`].
-    pub fn single_cycle(&self) -> bool {
+    fn single_cycle(&self) -> bool {
         self.cfg.w >= self.reach
     }
 

@@ -33,15 +33,6 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A token that auto-cancels once `deadline` passes (checked lazily,
-    /// whenever [`CancelToken::is_cancelled`] is called).
-    pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(deadline),
-        }
-    }
-
     /// A clone of this token that additionally auto-cancels at
     /// `deadline`. The flag stays shared — an explicit cancel on either
     /// token (e.g. a client disconnect) is visible to both; only the
@@ -110,10 +101,10 @@ mod tests {
 
     #[test]
     fn past_deadline_cancels_future_deadline_does_not() {
-        let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let expired = CancelToken::new().deadline_at(Instant::now() - Duration::from_millis(1));
         assert!(expired.is_cancelled());
         assert!(expired.is_cancelled(), "expiry latches");
-        let live = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        let live = CancelToken::new().deadline_at(Instant::now() + Duration::from_secs(3600));
         assert!(!live.is_cancelled());
         live.cancel();
         assert!(live.is_cancelled(), "explicit cancel beats the deadline");

@@ -66,7 +66,7 @@ pub use control::{CancelToken, ChunkGovernor};
 pub use engine::{Collect, Count, Fold, PointEval, SweepEngine};
 pub use events::{FnSink, NullSweepSink, SweepEvent, SweepSink};
 pub use objective::{objectives, Objective, Sense};
-pub use pareto::{pareto_front, FrontierPoint, ParetoFold, TopK};
+pub use pareto::{FrontierPoint, ParetoFold, TopK};
 pub use search::{
     BoxSearcher, Confirmation, NeighborSearcher, RungStats, SearchConfig, SearchEngine,
     SearchOutcome, SearchState, Searcher, SurrogateSearcher, Survivor, UniformSearcher,

@@ -4,9 +4,10 @@
 //! good on every objective and strictly better on one (objectives are
 //! compared in keyed, smaller-is-better form — see
 //! [`crate::Objective::keyed`]). Points with *exactly equal* objective
-//! vectors are collapsed to the first one folded; since the engine folds
-//! in [`DesignId`] order, that representative is the lowest-id design,
-//! which keeps frontier output canonical and permutation-invariant.
+//! vectors collapse to the lowest [`DesignId`] among them, and top-k
+//! ties rank the lower id first. Each fold holds that rule in one
+//! insertion that [`Fold::accept`] and `absorb` share, so its output is
+//! canonical and independent of the order points arrive in.
 
 use crate::engine::{Fold, PointEval};
 use crate::objective::Objective;
@@ -24,6 +25,17 @@ pub struct FrontierPoint {
     pub values: Vec<f64>,
 }
 
+impl FrontierPoint {
+    /// `eval` as a frontier point over `objectives`.
+    fn of(eval: &PointEval, objectives: &[Objective]) -> FrontierPoint {
+        FrontierPoint {
+            id: eval.id,
+            labels: eval.labels().map(|l| l.to_string()).collect(),
+            values: objectives.iter().map(|o| o.value(eval)).collect(),
+        }
+    }
+}
+
 /// `a` strictly dominates `b` (both in keyed, minimize form).
 pub(crate) fn dominates(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
@@ -37,27 +49,6 @@ pub(crate) fn dominates(a: &[f64], b: &[f64]) -> bool {
         }
     }
     strict
-}
-
-/// The exact Pareto frontier of a point set in keyed (minimize) form:
-/// indices of the non-dominated points, in input order, with exact
-/// duplicates collapsed to their first occurrence.
-///
-/// O(n·f) where `f` is the frontier size — fine for the frontiers real
-/// sweeps produce; the incremental [`ParetoFold`] has the same core.
-pub fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
-    let mut front: Vec<usize> = Vec::new();
-    for (i, candidate) in points.iter().enumerate() {
-        if front
-            .iter()
-            .any(|&j| dominates(&points[j], candidate) || points[j] == *candidate)
-        {
-            continue;
-        }
-        front.retain(|&j| !dominates(candidate, &points[j]));
-        front.push(i);
-    }
-    front
 }
 
 /// Incremental exact Pareto-frontier fold over the given objectives.
@@ -118,15 +109,14 @@ impl ParetoFold {
     /// Fold an already-selected frontier point (a shard-merge step).
     ///
     /// Keyed values are recomputed from the point's stored
-    /// original-sense values ([`Objective::key_of`] — bit-exact), then
-    /// run through the same duplicate/dominance logic as
-    /// [`Fold::accept`]. Absorbing each unit's finished frontier in
-    /// canonical (ascending id-range) unit order therefore yields the
+    /// original-sense values ([`Objective::key_of`] — bit-exact) and go
+    /// through the same insertion as [`Fold::accept`]. Absorbing every
+    /// unit's finished frontier, in any unit order, therefore yields the
     /// exact single-fold frontier: a point dominated inside its unit is
     /// transitively dominated by a survivor of that unit's frontier, and
-    /// exact-duplicate collapse still lands on the lowest id because
-    /// units are folded in id order. The shard-merge proptests hold this
-    /// for every grouping.
+    /// an exact-duplicate class still lands on its lowest id. The
+    /// shard-merge proptests hold this for every grouping and arrival
+    /// order.
     ///
     /// Does not advance [`ParetoFold::seen`] — absorbed points were
     /// counted by the fold that first accepted them.
@@ -143,16 +133,31 @@ impl ParetoFold {
                 .zip(&point.values)
                 .map(|(o, &v)| o.key_of(v)),
         );
+        self.insert(point.id, |_| point.clone());
+    }
+
+    /// The one insertion, for design `id` with its keyed values in
+    /// `scratch`: dropped when an incumbent dominates it, replacing an
+    /// incumbent with the same keyed values only when `id` is lower, and
+    /// otherwise joining the frontier and evicting what it dominates.
+    /// `point` builds the frontier point only when it is kept.
+    fn insert(&mut self, id: DesignId, point: impl FnOnce(&[Objective]) -> FrontierPoint) {
         let keyed = &self.scratch;
-        if self
-            .front
-            .iter()
-            .any(|(k, _)| dominates(k, keyed) || k == keyed)
-        {
-            return;
+        // The frontier is an antichain, so an equal incumbent and a
+        // dominating one never both exist: the first hit decides.
+        for (k, p) in &mut self.front {
+            if dominates(k, keyed) {
+                return;
+            }
+            if k == keyed {
+                if id < p.id {
+                    *p = point(&self.objectives);
+                }
+                return;
+            }
         }
         self.front.retain(|(k, _)| !dominates(keyed, k));
-        self.front.push((keyed.clone(), point.clone()));
+        self.front.push((keyed.clone(), point(&self.objectives)));
     }
 }
 
@@ -165,75 +170,13 @@ impl Fold for ParetoFold {
         self.scratch.clear();
         self.scratch
             .extend(self.objectives.iter().map(|o| o.keyed(eval)));
-        let keyed = &self.scratch;
-        if self
-            .front
-            .iter()
-            .any(|(k, _)| dominates(k, keyed) || k == keyed)
-        {
-            return;
-        }
-        self.front.retain(|(k, _)| !dominates(keyed, k));
-        let values = self.objectives.iter().map(|o| o.value(eval)).collect();
-        self.front.push((
-            keyed.clone(),
-            FrontierPoint {
-                id: eval.id,
-                labels: eval.labels().map(|l| l.to_string()).collect(),
-                values,
-            },
-        ));
+        self.insert(eval.id, |objectives| FrontierPoint::of(eval, objectives));
     }
 
     fn finish(self) -> Self::Output {
         let mut out: Vec<FrontierPoint> = self.front.into_iter().map(|(_, p)| p).collect();
         out.sort_by_key(|p| p.id);
         out
-    }
-}
-
-impl ParetoFold {
-    /// Fold a point with arrival-order-independent tie handling: when
-    /// the keyed vector exactly equals an incumbent's, the lower
-    /// [`DesignId`] wins instead of the first arrival.
-    ///
-    /// [`Fold::accept`] keeps the first member of an equal-vector tie
-    /// class, which collapses ties to the lowest id *only* when points
-    /// arrive in ascending id order — true for exhaustive sweeps, false
-    /// for guided search, whose evaluation order follows the proposal
-    /// schedule. Folding through this entry point instead makes the
-    /// representative the least evaluated id of each tie class, so the
-    /// search lands on the same canonical frontier the exhaustive fold
-    /// produces whenever it evaluates the canonical member at all.
-    pub fn accept_canonical(&mut self, eval: &PointEval) {
-        self.seen += 1;
-        self.scratch.clear();
-        self.scratch
-            .extend(self.objectives.iter().map(|o| o.keyed(eval)));
-        let keyed = &self.scratch;
-        if let Some((_, p)) = self.front.iter_mut().find(|(k, _)| k == keyed) {
-            if eval.id < p.id {
-                *p = FrontierPoint {
-                    id: eval.id,
-                    labels: eval.labels().map(|l| l.to_string()).collect(),
-                    values: self.objectives.iter().map(|o| o.value(eval)).collect(),
-                };
-            }
-            return;
-        }
-        if self.front.iter().any(|(k, _)| dominates(k, keyed)) {
-            return;
-        }
-        self.front.retain(|(k, _)| !dominates(keyed, k));
-        let values = self.objectives.iter().map(|o| o.value(eval)).collect();
-        self.front.push((
-            keyed.clone(),
-            FrontierPoint {
-                id: eval.id,
-                labels: eval.labels().map(|l| l.to_string()).collect(),
-                values,
-            },
-        ));
     }
 }
 
@@ -276,17 +219,24 @@ impl TopK {
             1,
             "top-k points carry exactly the ranking objective's value"
         );
-        let keyed = self.objective.key_of(point.values[0]);
+        self.insert(self.objective.key_of(point.values[0]), point.id, || {
+            point.clone()
+        });
+    }
+
+    /// The one insertion: keeps the `k` smallest `(keyed, id)` pairs in
+    /// order. `point` builds the entry only when it is kept.
+    fn insert(&mut self, keyed: f64, id: DesignId, point: impl FnOnce() -> FrontierPoint) {
         if self.best.len() == self.k {
             let (worst, worst_point) = self.best.last().expect("k >= 1");
-            if keyed > *worst || (keyed == *worst && point.id >= worst_point.id) {
+            if keyed > *worst || (keyed == *worst && id >= worst_point.id) {
                 return;
             }
         }
         let at = self
             .best
-            .partition_point(|(v, p)| *v < keyed || (*v == keyed && p.id < point.id));
-        self.best.insert(at, (keyed, point.clone()));
+            .partition_point(|(v, p)| *v < keyed || (*v == keyed && p.id < id));
+        self.best.insert(at, (keyed, point()));
         self.best.truncate(self.k);
     }
 }
@@ -296,23 +246,10 @@ impl Fold for TopK {
     type Output = Vec<FrontierPoint>;
 
     fn accept(&mut self, eval: &PointEval) {
-        let keyed = self.objective.keyed(eval);
-        if self.best.len() == self.k {
-            let (worst, worst_point) = self.best.last().expect("k >= 1");
-            if keyed > *worst || (keyed == *worst && eval.id >= worst_point.id) {
-                return;
-            }
-        }
-        let point = FrontierPoint {
-            id: eval.id,
-            labels: eval.labels().map(|l| l.to_string()).collect(),
-            values: vec![self.objective.value(eval)],
-        };
-        let at = self
-            .best
-            .partition_point(|(v, p)| *v < keyed || (*v == keyed && p.id < point.id));
-        self.best.insert(at, (keyed, point));
-        self.best.truncate(self.k);
+        let objective = self.objective;
+        self.insert(objective.keyed(eval), eval.id, || {
+            FrontierPoint::of(eval, &[objective])
+        });
     }
 
     fn finish(self) -> Self::Output {
@@ -385,16 +322,13 @@ mod tests {
     }
 
     #[test]
-    fn canonical_accept_collapses_ties_to_the_lowest_id_in_any_order() {
-        // Equal-vector twins arriving high-id first: plain accept keeps
-        // the first arrival; accept_canonical lands on id 1 regardless
-        // of order, matching the exhaustive (ascending-id) fold.
+    fn ties_collapse_to_the_lowest_id_in_any_order() {
+        // Equal-vector twins arriving high-id first land on id 1, the
+        // representative the exhaustive (ascending-id) fold keeps.
         let points = [eval(7, 1.0, 10.0), eval(1, 1.0, 10.0), eval(4, 1.0, 10.0)];
-        let plain = fold_all(&points);
-        assert_eq!(plain[0].id, DesignId(7), "plain accept is first-arrival");
         let mut fold = ParetoFold::new(vec![objectives::FP_SLOWDOWN, objectives::INT_TOPS_PER_MM2]);
         for p in &points {
-            fold.accept_canonical(p);
+            fold.accept(p);
         }
         assert_eq!(fold.seen(), 3);
         let front = fold.finish();
@@ -402,25 +336,9 @@ mod tests {
         assert_eq!(front[0].id, DesignId(1), "lowest id wins the tie class");
         // Dominance handling is unchanged: a strictly better point still
         // evicts, a dominated one is still dropped.
-        let mut fold = ParetoFold::new(vec![objectives::FP_SLOWDOWN, objectives::INT_TOPS_PER_MM2]);
-        fold.accept_canonical(&eval(3, 2.0, 10.0));
-        fold.accept_canonical(&eval(5, 1.0, 10.0));
-        fold.accept_canonical(&eval(6, 3.0, 5.0));
-        let front = fold.finish();
+        let front = fold_all(&[eval(3, 2.0, 10.0), eval(5, 1.0, 10.0), eval(6, 3.0, 5.0)]);
         assert_eq!(front.len(), 1);
         assert_eq!(front[0].id, DesignId(5));
-    }
-
-    #[test]
-    fn pareto_front_helper_minimizes() {
-        let pts = vec![
-            vec![1.0, 2.0],
-            vec![2.0, 1.0],
-            vec![2.0, 2.0], // dominated
-            vec![1.0, 2.0], // duplicate
-        ];
-        assert_eq!(pareto_front(&pts), vec![0, 1]);
-        assert_eq!(pareto_front(&[]), Vec::<usize>::new());
     }
 
     #[test]

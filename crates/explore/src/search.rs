@@ -56,6 +56,10 @@ use std::sync::Arc;
 /// for when ring-1 has genuinely dried up.
 const POLISH_MAX_RADIUS: usize = 3;
 
+/// The rung loop stops after this many consecutive rungs with a
+/// byte-identical frontier.
+const STABLE_RUNGS: usize = 2;
+
 /// Mixes a rung and stream index into a base seed (splitmix-style odd
 /// constants — stable across runs, distinct across streams).
 fn stream_seed(seed: u64, rung: usize, stream: u64) -> u64 {
@@ -544,9 +548,6 @@ pub struct SearchConfig {
     pub max_evals: u64,
     /// Seed for every proposal stream.
     pub seed: u64,
-    /// Stop after this many consecutive rungs with a byte-identical
-    /// frontier (0 disables early stopping).
-    pub stable_rungs: usize,
 }
 
 impl SearchConfig {
@@ -564,7 +565,6 @@ impl SearchConfig {
             keep_fraction: 0.5,
             max_evals: 1024,
             seed: 0xC0FFEE,
-            stable_rungs: 2,
         }
     }
 }
@@ -702,7 +702,7 @@ impl SearchEngine {
             }
             let mut rung_survivors: Vec<Survivor> = Vec::with_capacity(evals.len());
             for eval in &evals {
-                fold.accept_canonical(eval);
+                fold.accept(eval);
                 visited.insert(eval.id.0);
                 rung_survivors.push(Survivor {
                     id: eval.id,
@@ -769,7 +769,7 @@ impl SearchEngine {
             let signature = signature(&frontier);
             if signature == prev_front {
                 stable += 1;
-                if cfg.stable_rungs > 0 && stable >= cfg.stable_rungs {
+                if stable >= STABLE_RUNGS {
                     break;
                 }
             } else {
@@ -828,7 +828,7 @@ impl SearchEngine {
             ring.truncate(remaining as usize);
             let evals = self.engine.run_ids(space, &ring, Collect::new(), sink);
             for eval in &evals {
-                fold.accept_canonical(eval);
+                fold.accept(eval);
                 visited.insert(eval.id.0);
             }
             evaluated += evals.len() as u64;
@@ -1043,7 +1043,6 @@ mod tests {
         cfg.initial = space.len() as usize; // rung 0 sees everything
         cfg.rungs = 10;
         cfg.max_evals = u64::MAX;
-        cfg.stable_rungs = 2;
         let out = SearchEngine::new(cfg).run(&space, &NullSweepSink);
         // Rung 0 exhausts the space; later rungs have nothing fresh to
         // evaluate, so the loop ends long before rung 10.

@@ -6,23 +6,24 @@
 //! independently (any process, any order — see
 //! [`crate::SweepEngine::run_range`]), and merges the per-unit
 //! [`ParetoFold`]/[`TopK`] outputs back into the single-sweep result.
-//! [`ShardMerge`] is that merge: a reorder buffer that absorbs unit
-//! results strictly in ascending unit order, so the merged output is
-//! byte-identical to one in-process fold regardless of worker count,
-//! completion order, or which units were replayed from a journal.
+//! [`ShardMerge`] is that merge: it absorbs each unit result as it
+//! arrives, so the merged output is byte-identical to one in-process
+//! fold regardless of worker count, completion order, or which units
+//! were replayed from a journal.
 //!
 //! Exactness rests on two properties the proptests pin down:
 //!
 //! * **Pareto**: dominance is transitive and exact duplicates collapse
-//!   to the first point folded, so a unit's *finished frontier* carries
-//!   everything the global fold needs from that unit — absorbing
-//!   frontiers in id order equals folding every raw point in id order.
+//!   to the lowest id in any order, so a unit's *finished frontier*
+//!   carries everything the global fold needs from that unit —
+//!   absorbing frontiers in any order equals folding every raw point.
 //! * **Top-k**: the final selection is the k smallest `(keyed, id)`
 //!   pairs, and every globally selected point survives its own unit's
 //!   top-k, so merging per-unit selections loses nothing.
 
+use crate::engine::Fold;
 use crate::pareto::{FrontierPoint, ParetoFold, TopK};
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 
 /// One contiguous stretch of design ids, `[lo, hi)` — the unit of work
 /// distribution, journaling, and resume.
@@ -68,60 +69,49 @@ pub struct UnitFold {
     pub top: Option<Vec<FrontierPoint>>,
 }
 
-/// The exact shard-merge: absorbs [`UnitFold`]s in any arrival order,
-/// folding them strictly in canonical unit order through a reorder
-/// buffer (the same trick the engine's chunk merge uses, one level up).
+/// The exact shard-merge: absorbs each [`UnitFold`] on arrival, in any
+/// order — the folds' one tie rule makes the result independent of it.
 #[derive(Debug)]
 pub struct ShardMerge {
     pareto: ParetoFold,
     top: Option<TopK>,
-    next: usize,
-    pending: BTreeMap<usize, UnitFold>,
-    merged: usize,
+    /// Indices of the units absorbed so far.
+    merged: HashSet<usize>,
 }
 
 impl ShardMerge {
     /// A merge producing the same output as folding every point through
-    /// `pareto` (and `top`, when given) in id order.
+    /// `pareto` (and `top`, when given).
     pub fn new(pareto: ParetoFold, top: Option<TopK>) -> ShardMerge {
         ShardMerge {
             pareto,
             top,
-            next: 0,
-            pending: BTreeMap::new(),
-            merged: 0,
+            merged: HashSet::new(),
         }
     }
 
-    /// Offer one unit's fold output (idempotent per index: a duplicate
-    /// offer for an already-merged or already-pending unit is ignored —
-    /// first completion wins). Out-of-order offers park in the reorder
-    /// buffer until the canonical prefix is contiguous.
+    /// Offer one unit's fold output, absorbed at once. Idempotent per
+    /// index: a repeated offer is ignored — first completion wins.
     pub fn offer(&mut self, index: usize, fold: UnitFold) {
-        if index < self.next || self.pending.contains_key(&index) {
+        if !self.merged.insert(index) {
             return;
         }
-        self.pending.insert(index, fold);
-        while let Some(ready) = self.pending.remove(&self.next) {
-            for p in &ready.front {
-                self.pareto.absorb(p);
+        for p in &fold.front {
+            self.pareto.absorb(p);
+        }
+        if let (Some(top), Some(points)) = (self.top.as_mut(), &fold.top) {
+            for p in points {
+                top.absorb(p);
             }
-            if let (Some(top), Some(points)) = (self.top.as_mut(), ready.top.as_ref()) {
-                for p in points {
-                    top.absorb(p);
-                }
-            }
-            self.next += 1;
-            self.merged += 1;
         }
     }
 
-    /// Units merged into the folds so far (the contiguous prefix).
+    /// Units merged into the folds so far.
     pub fn merged(&self) -> usize {
-        self.merged
+        self.merged.len()
     }
 
-    /// Current merged-prefix frontier size (progress reporting).
+    /// Current merged frontier size (progress reporting).
     pub fn front_len(&self) -> usize {
         self.pareto.front_len()
     }
@@ -129,15 +119,14 @@ impl ShardMerge {
     /// Finish the folds.
     ///
     /// # Panics
-    /// Panics when offered units are still parked out of order — the
-    /// caller failed to deliver a contiguous unit sequence.
+    /// Panics when the merged unit indices leave a gap — the caller
+    /// failed to deliver a contiguous unit sequence.
     pub fn finish(self) -> (Vec<FrontierPoint>, Option<Vec<FrontierPoint>>) {
-        assert!(
-            self.pending.is_empty(),
-            "shard merge finished with {} unit(s) parked out of order",
-            self.pending.len()
-        );
-        use crate::engine::Fold;
+        // `n` distinct indices are exactly `0..n` unless one below `n`
+        // is missing.
+        if let Some(gap) = (0..self.merged.len()).find(|i| !self.merged.contains(i)) {
+            panic!("shard merge finished without unit {gap}, below a merged unit");
+        }
         (self.pareto.finish(), self.top.map(TopK::finish))
     }
 }
@@ -165,28 +154,47 @@ mod tests {
         assert_eq!((one[0].lo, one[0].hi), (0, 5));
     }
 
-    #[test]
-    fn merge_reorders_and_dedupes_offers() {
-        use crate::objective::objectives;
-        let unit = |id: u64, slowdown: f64| UnitFold {
+    fn unit(id: u64, slowdown: f64) -> UnitFold {
+        UnitFold {
             front: vec![FrontierPoint {
                 id: crate::DesignId(id),
                 labels: vec![],
                 values: vec![slowdown],
             }],
             top: None,
-        };
-        let mut m = ShardMerge::new(ParetoFold::new(vec![objectives::FP_SLOWDOWN]), None);
+        }
+    }
+
+    fn slowdown_merge() -> ShardMerge {
+        ShardMerge::new(
+            ParetoFold::new(vec![crate::objective::objectives::FP_SLOWDOWN]),
+            None,
+        )
+    }
+
+    #[test]
+    fn merge_absorbs_on_arrival_and_dedupes_offers() {
+        let mut m = slowdown_merge();
         m.offer(2, unit(20, 3.0));
-        assert_eq!(m.merged(), 0, "parked until the prefix is contiguous");
+        assert_eq!(m.merged(), 1, "absorbed without waiting for unit 0");
         m.offer(0, unit(0, 1.0));
-        assert_eq!(m.merged(), 1);
+        assert_eq!(m.merged(), 2);
         m.offer(1, unit(10, 2.0));
         assert_eq!(m.merged(), 3);
         m.offer(1, unit(11, 0.1)); // duplicate completion: ignored
+        assert_eq!(m.merged(), 3);
         let (front, top) = m.finish();
         assert_eq!(front.len(), 1);
         assert_eq!(front[0].id, crate::DesignId(0));
         assert!(top.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "shard merge finished without unit 1")]
+    fn finish_refuses_a_gap_in_the_merged_units() {
+        let mut m = slowdown_merge();
+        m.offer(0, unit(0, 1.0));
+        m.offer(2, unit(20, 3.0));
+        m.finish();
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests for the Pareto fold — the frontier is a subset of the
-//! input, contains no dominated point, and is invariant under input
-//! permutation — and for the sweep engine, whose slab evaluation (and
+//! input, contains no dominated point, matches the batch oracle
+//! [`pareto_front`], and does not depend on the order points arrive in —
+//! and for the sweep engine, whose slab evaluation (and
 //! `Scenario::run`, which shares its per-layer plan) must be
 //! bit-identical to a per-point, per-layer oracle over arbitrary
 //! parameter spaces, id sources, and chunk boundaries.
 
-use mpipu_explore::{pareto_front, FrontierPoint, Objective, ParetoFold, PointEval, Sense};
 use mpipu_explore::{DesignId, Fold, ParamSpace, ShardMerge, TopK, UnitFold};
+use mpipu_explore::{FrontierPoint, Objective, ParetoFold, PointEval, Sense};
 use mpipu_hw::DesignMetrics;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -16,6 +17,37 @@ use rand::{Rng, SeedableRng};
 /// re-statement of the library's dominance rule.
 fn dominates(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
+}
+
+/// The exact Pareto frontier of a point set in minimize form: indices
+/// of the non-dominated points, in input order, with exact duplicates
+/// collapsed to their first occurrence. The batch oracle the incremental
+/// [`ParetoFold`] is checked against.
+fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
+    let mut front: Vec<usize> = Vec::new();
+    for (i, candidate) in points.iter().enumerate() {
+        if front
+            .iter()
+            .any(|&j| dominates(&points[j], candidate) || points[j] == *candidate)
+        {
+            continue;
+        }
+        front.retain(|&j| !dominates(candidate, &points[j]));
+        front.push(i);
+    }
+    front
+}
+
+#[test]
+fn pareto_front_helper_minimizes() {
+    let pts = vec![
+        vec![1.0, 2.0],
+        vec![2.0, 1.0],
+        vec![2.0, 2.0], // dominated
+        vec![1.0, 2.0], // duplicate
+    ];
+    assert_eq!(pareto_front(&pts), vec![0, 1]);
+    assert_eq!(pareto_front(&[]), Vec::<usize>::new());
 }
 
 /// Quantize to a small value lattice so duplicates and exact ties occur
@@ -215,7 +247,34 @@ proptest! {
         prop_assert_eq!(fold_values, batch);
     }
 
-    /// ISSUE 9 shard-merge law: splitting the id sequence into units of
+    /// One tie rule: the same evaluations (same ids), folded in id order
+    /// and in a shuffled order, give the same frontier and top-k — ids,
+    /// order, and value bits.
+    #[test]
+    fn folds_are_independent_of_arrival_order(
+        points in points_strategy(),
+        k in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let dim = points.first().map_or(1, Vec::len);
+        let evals: Vec<PointEval> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| make_eval(i, p))
+            .collect();
+        let fold = |order: &[PointEval]| {
+            let mut pareto = ParetoFold::new(MERGE_OBJS[..dim].to_vec());
+            let mut top = TopK::new(MERGE_OBJS[1], k);
+            for e in order {
+                pareto.accept(e);
+                top.accept(e);
+            }
+            (exact(&pareto.finish()), exact(&top.finish()))
+        };
+        prop_assert_eq!(fold(&evals), fold(&shuffled(&evals, seed)));
+    }
+
+    /// Shard-merge law: splitting the id sequence into units of
     /// any size, folding each unit independently, and merging the unit
     /// outputs — offered in arbitrary arrival order — equals the single
     /// in-process fold *exactly* (ids, order, and value bits), for both

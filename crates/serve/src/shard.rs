@@ -6,8 +6,8 @@
 //! (the hidden `sweepctl worker` subcommand — the same JSONL
 //! line-in/lines-out dialect the daemon speaks, over stdin/stdout)
 //! each run claimed units through [`SweepEngine::run_range`]; the
-//! coordinator folds finished units back in canonical unit order
-//! through [`mpipu_explore::ShardMerge`]. Because
+//! coordinator absorbs each finished unit as it arrives through
+//! [`mpipu_explore::ShardMerge`]. Because
 //! the merge is exact (see `crates/explore/src/shard.rs`), the sharded
 //! result line is **byte-identical** to the in-process engine's at any
 //! worker count.
@@ -125,14 +125,32 @@ fn snapshot_of(points: &[FrontierPoint]) -> Vec<SnapshotPoint> {
 }
 
 /// Rehydrate a unit's fold snapshots: values from bit patterns, labels
-/// recomputed from the space (a pure function of the design id).
-fn unit_fold_of(space: &ParamSpace, record: &UnitRecord) -> Result<UnitFold, WireError> {
-    let rebuild = |points: &[SnapshotPoint]| -> Result<Vec<FrontierPoint>, WireError> {
+/// recomputed from the space (a pure function of the design id). A
+/// record that does not fit the sweep — a front point without one value
+/// per objective, a top point without exactly one value, a design id
+/// outside the space, or a top-k selection the sweep does not have (or
+/// a missing one it has) — is refused, naming the unit, before any fold
+/// sees it.
+fn unit_fold_of(
+    space: &ParamSpace,
+    objectives: usize,
+    top_k: bool,
+    record: &UnitRecord,
+) -> Result<UnitFold, WireError> {
+    let refuse = |what: String| WireError::bad_request(format!("unit {} {what}", record.unit));
+    let rebuild = |points: &[SnapshotPoint], kind: &str, arity: usize| {
         points
             .iter()
             .map(|p| {
+                if p.bits.len() != arity {
+                    return Err(refuse(format!(
+                        "{kind} point {} carries {} value(s), expected {arity}",
+                        p.id,
+                        p.bits.len()
+                    )));
+                }
                 let spec = space.point(DesignId(p.id)).ok_or_else(|| {
-                    WireError::internal(format!("design id {} is outside the swept space", p.id))
+                    refuse(format!("design id {} is outside the swept space", p.id))
                 })?;
                 Ok(FrontierPoint {
                     id: DesignId(p.id),
@@ -140,11 +158,22 @@ fn unit_fold_of(space: &ParamSpace, record: &UnitRecord) -> Result<UnitFold, Wir
                     values: p.bits.iter().map(|&b| f64::from_bits(b)).collect(),
                 })
             })
-            .collect()
+            .collect::<Result<Vec<_>, WireError>>()
     };
+    if record.top.is_some() != top_k {
+        return Err(refuse(if top_k {
+            "has no top-k selection, but the sweep asks for one".to_string()
+        } else {
+            "has a top-k selection, but the sweep has none".to_string()
+        }));
+    }
     Ok(UnitFold {
-        front: rebuild(&record.front)?,
-        top: record.top.as_deref().map(rebuild).transpose()?,
+        front: rebuild(&record.front, "front", objectives)?,
+        top: record
+            .top
+            .as_deref()
+            .map(|t| rebuild(t, "top", 1))
+            .transpose()?,
     })
 }
 
@@ -357,6 +386,7 @@ pub fn run_sharded(
     };
 
     // Resume: replay completed units out of the journal.
+    let (objectives, top_k) = (pareto.objectives().len(), top.is_some());
     let mut merge = ShardMerge::new(pareto, top);
     let mut done: HashSet<u64> = HashSet::new();
     if cfg.resume {
@@ -382,7 +412,10 @@ pub fn run_sharded(
                     record.unit
                 )));
             }
-            merge.offer(record.unit as usize, unit_fold_of(&space, record)?);
+            merge.offer(
+                record.unit as usize,
+                unit_fold_of(&space, objectives, top_k, record)?,
+            );
             done.insert(record.unit);
         }
     }
@@ -542,7 +575,7 @@ pub fn run_sharded(
                                     break Err(io_err("journal append", e));
                                 }
                             }
-                            match unit_fold_of(&space, &record) {
+                            match unit_fold_of(&space, objectives, top_k, &record) {
                                 Ok(fold) => merge.offer(record.unit as usize, fold),
                                 Err(e) => break Err(e),
                             }
@@ -698,6 +731,82 @@ mod tests {
                 .to_string_compact();
             assert_eq!(sharded, reference, "unit_points={unit_points}");
         }
+    }
+
+    /// Resume `req` from a full journal whose unit 1 record went through
+    /// `corrupt`; returns the resume's error.
+    fn resume_corrupt(tag: &str, req: &SweepReq, corrupt: fn(&mut UnitRecord)) -> WireError {
+        let space = req.to_space();
+        let units = partition_units(space.len(), 4);
+        let header = JournalHeader {
+            request_line: Request::Sweep(req.clone()).to_json().to_string_compact(),
+            unit_points: 4,
+            total_points: space.len(),
+            units: units.len() as u64,
+        };
+        let path = std::env::temp_dir().join(format!(
+            "mpipu-shard-corrupt-{tag}-{}.jsonl",
+            std::process::id()
+        ));
+        let mut writer = JournalWriter::create(&path, &header).unwrap();
+        let engine = crate::service::reference_engine(1, req.chunk);
+        for unit in &units {
+            let fold = req.folds().unwrap();
+            let (front, top) = engine.run_range(&space, unit.lo, unit.hi, fold, &NullSweepSink);
+            let mut record = UnitRecord {
+                unit: unit.index as u64,
+                lo: unit.lo,
+                hi: unit.hi,
+                front: snapshot_of(&front),
+                top: top.as_deref().map(snapshot_of),
+                hits: 0,
+                misses: 0,
+                memo: vec![],
+            };
+            if unit.index == 1 {
+                corrupt(&mut record);
+            }
+            writer.append_unit(&record).unwrap();
+        }
+        drop(writer);
+        let cfg = ShardConfig {
+            unit_points: 4,
+            journal: Some(path.clone()),
+            resume: true,
+            ..ShardConfig::default()
+        };
+        let outcome = run_sharded(req, &cfg, &|_| {});
+        std::fs::remove_file(&path).unwrap();
+        outcome.expect_err("a corrupt unit record must be refused")
+    }
+
+    #[test]
+    fn resume_refuses_a_front_point_of_the_wrong_arity() {
+        let err = resume_corrupt("front", &small_req(), |r| {
+            r.front[0].bits.pop();
+        });
+        assert_eq!(err.code, crate::request::ErrorCode::BadRequest);
+        assert!(err.message.starts_with("unit 1 front point"), "{err}");
+    }
+
+    #[test]
+    fn resume_refuses_a_top_point_of_the_wrong_arity() {
+        let err = resume_corrupt("top", &small_req(), |r| {
+            r.top.as_mut().unwrap()[0].bits.push(0);
+        });
+        assert!(err.message.starts_with("unit 1 top point"), "{err}");
+    }
+
+    #[test]
+    fn resume_refuses_a_top_field_that_does_not_fit_the_sweep() {
+        let err = resume_corrupt("no-top", &small_req(), |r| r.top = None);
+        assert!(err.message.starts_with("unit 1 has no top-k"), "{err}");
+        let no_top = SweepReq {
+            top_k: None,
+            ..small_req()
+        };
+        let err = resume_corrupt("extra-top", &no_top, |r| r.top = Some(vec![]));
+        assert!(err.message.starts_with("unit 1 has a top-k"), "{err}");
     }
 
     #[test]

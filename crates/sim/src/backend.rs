@@ -801,23 +801,7 @@ impl Memoized {
         std::mem::take(&mut *self.log.lock().unwrap())
     }
 
-    /// Snapshot every cached entry, sorted by key words for a
-    /// deterministic export (`HashMap` iteration order is not).
-    pub fn export_entries(&self) -> Vec<(CacheKey, f64)> {
-        let mut entries: Vec<(CacheKey, f64)> = self
-            .cache
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        entries.sort_by(|(a, _), (b, _)| {
-            (a.backend_name(), a.to_words()).cmp(&(b.backend_name(), b.to_words()))
-        });
-        entries
-    }
-
-    /// Bulk-insert previously exported entries (a journal warm-start).
+    /// Bulk-insert previously logged entries (a journal warm-start).
     /// Returns the number of entries newly added; existing keys keep
     /// their value — a live cache outranks a journal.
     pub fn preload(&self, entries: impl IntoIterator<Item = (CacheKey, f64)>) -> usize {
@@ -1483,13 +1467,10 @@ mod tests {
         let _ = memo.window_cycles(&a);
         assert!(memo.drain_insert_log().is_empty());
 
-        // Export is deterministic and preload rebuilds a warm cache.
-        let exported = memo.export_entries();
-        assert_eq!(exported, memo.export_entries());
-        assert_eq!(exported.len(), 2);
+        // The drained log is the export: preload rebuilds a warm cache.
         let fresh = Memoized::new(Arc::new(AnalyticBatched::new()));
-        assert_eq!(fresh.preload(exported.clone()), 2);
-        assert_eq!(fresh.preload(exported), 0, "idempotent");
+        assert_eq!(fresh.preload(logged.clone()), 2);
+        assert_eq!(fresh.preload(logged), 0, "idempotent");
         assert_eq!(fresh.window_cycles(&a), va);
         assert_eq!(fresh.hits(), 1, "preloaded entry served from cache");
         assert_eq!(fresh.misses(), 0);

@@ -43,8 +43,8 @@ fn main() {
     let reference = engine.run(&space, ParetoFold::new(objectives.clone()), &NullSweepSink);
 
     // The sharded run: 64-point units, evaluated in REVERSE order. The
-    // merge's reorder buffer holds early-arriving folds until their
-    // predecessors land, then folds in canonical unit order — so the
+    // merge absorbs each unit's fold as it lands, and the folds break
+    // every exact tie toward the lowest id in any arrival order — so the
     // completion schedule (worker count, steals, retries) can never
     // change a result.
     let units = partition_units(space.len(), 64);
