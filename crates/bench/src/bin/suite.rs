@@ -1,18 +1,6 @@
 //! Run the full experiment registry (or a subset) across a worker pool,
-//! writing one JSON result per experiment.
-//!
-//! ```text
-//! suite --list                 name every registered experiment
-//! suite [--smoke|--quick|--full]
-//!       [--threads N]          worker threads (0 or omitted = one per CPU)
-//!       [--only a,b,c]         run a comma-separated subset
-//!       [--backend B]          cost backend: mc (default), analytic,
-//!                              memoized, memoized-analytic
-//!       [--out DIR]            results directory (default: results/)
-//!       [--seed N]             override seeds (per-experiment derived)
-//!       [--events FILE]        stream JSONL run events to FILE
-//!       [--text]               also print each report to stdout
-//! ```
+//! writing one JSON result per experiment. `suite --help` prints the
+//! flags; an unknown flag exits 2 and names the nearest known one.
 //!
 //! Without `--seed` every experiment runs its canonical paper seed, and
 //! the result JSONs are byte-identical across thread counts (CI enforces
@@ -25,12 +13,66 @@
 use mpipu_bench::events::{JsonlSink, StderrSink, TeeSink};
 use mpipu_bench::registry::Registry;
 use mpipu_bench::runner::{run_on_backend, RunOptions};
+use mpipu_bench::suggest::unknown_name_error;
 use mpipu_bench::suite::{backend_from, flag_value, scale_from, timing_json};
 use std::path::PathBuf;
 use std::time::Instant;
 
+/// The flags, as `suite --help` prints them.
+const USAGE: &str = "\
+suite --list                 name every registered experiment
+suite [--smoke|--quick|--full]
+      [--threads N]          worker threads (0 or omitted = one per CPU)
+      [--only a,b,c]         run a comma-separated subset
+      [--backend B]          cost backend: mc (default), analytic,
+                             memoized, memoized-analytic
+      [--out DIR]            results directory (default: results/)
+      [--seed N]             override seeds (per-experiment derived)
+      [--events FILE]        stream JSONL run events to FILE
+      [--text]               also print each report to stdout
+suite --help                 print this and exit
+";
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 6] = ["--list", "--smoke", "--quick", "--full", "--text", "--help"];
+
+/// Flags that take the next argument as their value.
+const VALUED: [&str; 6] = [
+    "--threads",
+    "--only",
+    "--backend",
+    "--out",
+    "--seed",
+    "--events",
+];
+
+/// Check every argument against the known flags; a value flag consumes
+/// its value.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUED.contains(&arg.as_str()) {
+            if args.next().is_none() {
+                return Err(format!("{arg} takes a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            let known: Vec<&str> = SWITCHES.iter().chain(&VALUED).copied().collect();
+            return Err(unknown_name_error("flag", arg, &known));
+        }
+    }
+    Ok(())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    if args.iter().any(|a| a == "--help") {
+        print!("{USAGE}");
+        return;
+    }
     let scale = scale_from(&args);
     let registry = Registry::builtin();
 
@@ -157,5 +199,43 @@ fn main() {
     );
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        check_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_flags_pass_and_value_flags_consume_their_value() {
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(
+            check(&["--smoke", "--threads", "4", "--only", "fig3,fig9"]),
+            Ok(())
+        );
+        // A value is never read as a flag, even one shaped like a flag.
+        assert_eq!(check(&["--out", "--smok", "--text"]), Ok(()));
+        assert_eq!(check(&["--help"]), Ok(()));
+    }
+
+    #[test]
+    fn unknown_flags_name_the_nearest_known_one() {
+        let e = check(&["--smok"]).unwrap_err();
+        assert!(e.starts_with("unknown flag \"--smok\""), "{e}");
+        assert!(e.contains("did you mean \"--smoke\"?"), "{e}");
+        let e = check(&["--smoke", "fig3"]).unwrap_err();
+        assert!(e.starts_with("unknown flag \"fig3\""), "{e}");
+        assert_eq!(check(&["--threads"]), Err("--threads takes a value".into()));
+    }
+
+    #[test]
+    fn usage_names_every_flag() {
+        for flag in SWITCHES.iter().chain(&VALUED) {
+            assert!(USAGE.contains(flag), "{flag} missing from the usage block");
+        }
     }
 }

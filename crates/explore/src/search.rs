@@ -47,7 +47,7 @@ use crate::space::{DesignId, ParamSpace};
 use mpipu_sim::CostBackend;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Widest breadth-first ball the polish phase expands around the
@@ -361,16 +361,29 @@ impl Searcher for BoxSearcher {
 /// round scores a seeded candidate pool by the surrogate's predicted
 /// keyed objectives — first by how many current frontier points
 /// dominate the prediction, then by predicted keyed sum — and keeps the
-/// best. Refit is incremental (a `Vec` push per observation); no
-/// matrices, no dependencies.
+/// best. Refit is incremental (one row appended to two flat histories
+/// per observation); no matrices, no dependencies.
+///
+/// A prediction costs one bounded k-best pass over the history, and a
+/// round makes one per bit-distinct normalized coordinate vector in its
+/// pool: the prediction depends only on that vector and the history,
+/// which does not change within a round.
 #[derive(Debug)]
 pub struct SurrogateSearcher {
     seed: u64,
     k: usize,
     /// Candidate-pool oversampling factor relative to the budget.
     pool_factor: usize,
-    /// `(normalized coords, keyed objectives)` per observed point.
-    history: Vec<(Vec<f64>, Vec<f64>)>,
+    /// Points observed so far.
+    observed: usize,
+    /// Normalized coordinates, one row of `axes` values per observed
+    /// point, in observation order.
+    coords: Vec<f64>,
+    /// Keyed objectives, one row per observed point, in observation
+    /// order (every observation carries the same objective count).
+    keyed: Vec<f64>,
+    /// Row width of `coords`.
+    axes: usize,
 }
 
 impl SurrogateSearcher {
@@ -381,59 +394,64 @@ impl SurrogateSearcher {
             seed,
             k: k.max(1),
             pool_factor: 8,
-            history: Vec::new(),
+            observed: 0,
+            coords: Vec::new(),
+            keyed: Vec::new(),
+            axes: 0,
         }
     }
 
-    fn normalize(space: &ParamSpace, coords: &[usize]) -> Vec<f64> {
-        coords
-            .iter()
-            .zip(space.axes())
-            .map(|(&c, a)| match a {
-                // Treat a schedule mask by FP16-layer count, not by the
-                // meaningless integer value of the bit pattern.
-                Axis::ScheduleMask { layers } => c.count_ones() as f64 / f64::from(*layers),
-                _ => {
-                    let n = a.len();
-                    if n <= 1 {
-                        0.0
-                    } else {
-                        c as f64 / (n - 1) as f64
-                    }
+    /// Append `coords`' normalized form to `out`.
+    fn normalize(space: &ParamSpace, coords: &[usize], out: &mut Vec<f64>) {
+        out.extend(coords.iter().zip(space.axes()).map(|(&c, a)| match a {
+            // Treat a schedule mask by FP16-layer count, not by the
+            // meaningless integer value of the bit pattern.
+            Axis::ScheduleMask { layers } => c.count_ones() as f64 / f64::from(*layers),
+            _ => {
+                let n = a.len();
+                if n <= 1 {
+                    0.0
+                } else {
+                    c as f64 / (n - 1) as f64
                 }
-            })
-            .collect()
+            }
+        }));
     }
 
     /// Inverse-distance-weighted k-NN prediction of the keyed objective
-    /// vector at `x`. Deterministic: neighbors rank by `(distance,
-    /// insertion index)`.
-    fn predict(&self, x: &[f64]) -> Vec<f64> {
-        let mut near: Vec<(f64, usize)> = self
-            .history
-            .iter()
-            .enumerate()
-            .map(|(i, (c, _))| {
-                let d2: f64 = c.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d2, i)
-            })
-            .collect();
-        near.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        near.truncate(self.k);
-        let dim = self.history[near[0].1].1.len();
-        let mut acc = vec![0.0f64; dim];
+    /// vector at `x`, written to `pred`. Deterministic: neighbors rank
+    /// by `(distance, insertion index)` and are accumulated in that
+    /// order. `near` is scratch.
+    fn predict(&self, x: &[f64], near: &mut Vec<(f64, usize)>, pred: &mut Vec<f64>) {
+        // Bounded k-best pass: rows arrive in index order, so a row
+        // that only ties the current k-th distance ranks after it.
+        near.clear();
+        for i in 0..self.observed {
+            let row = &self.coords[i * self.axes..][..self.axes];
+            let d2: f64 = row.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
+            if near.len() == self.k {
+                if d2.total_cmp(&near[self.k - 1].0).is_ge() {
+                    continue;
+                }
+                near.pop();
+            }
+            let at = near.partition_point(|&(d, _)| d.total_cmp(&d2).is_le());
+            near.insert(at, (d2, i));
+        }
+        let dim = self.keyed.len() / self.observed;
+        pred.clear();
+        pred.resize(dim, 0.0);
         let mut wsum = 0.0f64;
-        for &(d2, i) in &near {
+        for &(d2, i) in near.iter() {
             let w = 1.0 / (d2 + 1e-9);
             wsum += w;
-            for (slot, v) in acc.iter_mut().zip(&self.history[i].1) {
+            for (slot, v) in pred.iter_mut().zip(&self.keyed[i * dim..][..dim]) {
                 *slot += w * v;
             }
         }
-        for slot in &mut acc {
+        for slot in pred.iter_mut() {
             *slot /= wsum;
         }
-        acc
     }
 }
 
@@ -448,38 +466,59 @@ impl Searcher for SurrogateSearcher {
         state: &SearchState<'_>,
         budget: usize,
     ) -> Vec<DesignId> {
-        if self.history.is_empty() || state.frontier.is_empty() {
+        if self.observed == 0 || state.frontier.is_empty() {
             return Vec::new(); // nothing learned yet — rung 0 is uniform's
         }
         let pool = space.sample_ids(
             budget.saturating_mul(self.pool_factor),
             stream_seed(self.seed, state.rung, 2),
         );
-        let mut scored: Vec<(usize, f64, DesignId)> = pool
-            .into_iter()
-            .filter(|id| !state.visited.contains(&id.0))
-            .map(|id| {
-                let coords = space.coords(id).expect("sampled id in range");
-                let pred = self.predict(&Self::normalize(space, &coords));
-                let dominated = state
-                    .frontier_keyed
-                    .iter()
-                    .filter(|k| dominates(k, &pred))
-                    .count();
-                let sum: f64 = pred.iter().sum();
-                (dominated, sum, id)
-            })
-            .collect();
+        // (domination count, keyed sum) per bit-distinct normalized
+        // vector of this round.
+        let mut scores: HashMap<Vec<u64>, (usize, f64)> = HashMap::new();
+        let (mut x, mut bits, mut near, mut pred) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut scored: Vec<(usize, f64, DesignId)> = Vec::with_capacity(pool.len());
+        for id in pool {
+            if state.visited.contains(&id.0) {
+                continue;
+            }
+            x.clear();
+            Self::normalize(
+                space,
+                &space.coords(id).expect("sampled id in range"),
+                &mut x,
+            );
+            bits.clear();
+            bits.extend(x.iter().map(|v| v.to_bits()));
+            let (dominated, sum) = match scores.get(bits.as_slice()) {
+                Some(&score) => score,
+                None => {
+                    self.predict(&x, &mut near, &mut pred);
+                    let dominated = state
+                        .frontier_keyed
+                        .iter()
+                        .filter(|k| dominates(k, &pred))
+                        .count();
+                    let score = (dominated, pred.iter().sum());
+                    scores.insert(bits.clone(), score);
+                    score
+                }
+            };
+            scored.push((dominated, sum, id));
+        }
         scored.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
         scored.truncate(budget);
         scored.into_iter().map(|(_, _, id)| id).collect()
     }
 
     fn observe(&mut self, space: &ParamSpace, evals: &[Survivor]) {
+        self.axes = space.axes().len();
         for s in evals {
-            self.history
-                .push((Self::normalize(space, &s.coords), s.keyed.clone()));
+            Self::normalize(space, &s.coords, &mut self.coords);
+            self.keyed.extend_from_slice(&s.keyed);
         }
+        self.observed += evals.len();
     }
 }
 

@@ -686,3 +686,222 @@ proptest! {
         }
     }
 }
+
+/// Mixes a rung and stream index into a base seed: a re-statement of
+/// the library's proposal-stream seeding, so the oracle below scores the
+/// same candidate pool as the searcher it checks.
+fn stream_seed(seed: u64, rung: usize, stream: u64) -> u64 {
+    seed ^ (rung as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ stream.wrapping_mul(0xbf58_476d_1ce4_e5b9)
+}
+
+/// The sort-based k-NN surrogate, kept as the oracle of
+/// `SurrogateSearcher`: for every pool candidate it sorts the whole
+/// history by `(distance total order, insertion index)`, keeps the first
+/// k, accumulates them in that order, and scores the prediction by
+/// domination count then keyed sum.
+struct SortingSurrogate {
+    seed: u64,
+    k: usize,
+    /// `(normalized coords, keyed objectives)` per observed point.
+    history: Vec<(Vec<f64>, Vec<f64>)>,
+}
+
+impl SortingSurrogate {
+    fn normalize(space: &ParamSpace, coords: &[usize]) -> Vec<f64> {
+        use mpipu_explore::Axis;
+        coords
+            .iter()
+            .zip(space.axes())
+            .map(|(&c, a)| match a {
+                Axis::ScheduleMask { layers } => c.count_ones() as f64 / f64::from(*layers),
+                _ => {
+                    let n = a.len();
+                    if n <= 1 {
+                        0.0
+                    } else {
+                        c as f64 / (n - 1) as f64
+                    }
+                }
+            })
+            .collect()
+    }
+
+    fn predict(&self, x: &[f64]) -> Vec<f64> {
+        let mut near: Vec<(f64, usize)> = self
+            .history
+            .iter()
+            .enumerate()
+            .map(|(i, (c, _))| {
+                let d2: f64 = c.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
+                (d2, i)
+            })
+            .collect();
+        near.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        near.truncate(self.k);
+        let dim = self.history[near[0].1].1.len();
+        let mut acc = vec![0.0f64; dim];
+        let mut wsum = 0.0f64;
+        for &(d2, i) in &near {
+            let w = 1.0 / (d2 + 1e-9);
+            wsum += w;
+            for (slot, v) in acc.iter_mut().zip(&self.history[i].1) {
+                *slot += w * v;
+            }
+        }
+        for slot in &mut acc {
+            *slot /= wsum;
+        }
+        acc
+    }
+
+    /// The candidate pool a round at `rung` with `budget` scores.
+    fn pool(&self, space: &ParamSpace, rung: usize, budget: usize) -> Vec<DesignId> {
+        space.sample_ids(budget.saturating_mul(8), stream_seed(self.seed, rung, 2))
+    }
+}
+
+impl mpipu_explore::Searcher for SortingSurrogate {
+    fn name(&self) -> &'static str {
+        "sorting-surrogate"
+    }
+
+    fn propose(
+        &mut self,
+        space: &ParamSpace,
+        state: &mpipu_explore::SearchState<'_>,
+        budget: usize,
+    ) -> Vec<DesignId> {
+        if self.history.is_empty() || state.frontier.is_empty() {
+            return Vec::new();
+        }
+        let mut scored: Vec<(usize, f64, DesignId)> = self
+            .pool(space, state.rung, budget)
+            .into_iter()
+            .filter(|id| !state.visited.contains(&id.0))
+            .map(|id| {
+                let coords = space.coords(id).expect("sampled id in range");
+                let pred = self.predict(&Self::normalize(space, &coords));
+                let dominated = state
+                    .frontier_keyed
+                    .iter()
+                    .filter(|k| dominates(k, &pred))
+                    .count();
+                let sum: f64 = pred.iter().sum();
+                (dominated, sum, id)
+            })
+            .collect();
+        scored.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        scored.truncate(budget);
+        scored.into_iter().map(|(_, _, id)| id).collect()
+    }
+
+    fn observe(&mut self, space: &ParamSpace, evals: &[mpipu_explore::Survivor]) {
+        for s in evals {
+            self.history
+                .push((Self::normalize(space, &s.coords), s.keyed.clone()));
+        }
+    }
+}
+
+/// One proposal round of the surrogate test: observed `(id pick, keyed
+/// values)` pairs, free frontier vectors, how many frontier vectors to
+/// pin on the oracle's own predictions, visited picks, and the budget.
+type SurrogateRound = (Vec<(u64, Vec<f64>)>, Vec<Vec<f64>>, usize, Vec<u64>, usize);
+
+fn surrogate_round() -> impl Strategy<Value = SurrogateRound> {
+    let keyed = || prop::collection::vec(0.0f64..4.0, 3);
+    (
+        prop::collection::vec((0u64..24, keyed()), 0..24),
+        prop::collection::vec(keyed(), 0..4),
+        0usize..4,
+        prop::collection::vec(any::<u64>(), 0..40),
+        0usize..=64,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SurrogateSearcher` (flat history, bounded k-best pass, one
+    /// prediction per bit-distinct normalized vector per round) proposes
+    /// the same ids in the same order as the sorting oracle, over
+    /// arbitrary spaces with and without a `schedule_mask` axis,
+    /// histories with repeated coordinates and equal distances, frontiers,
+    /// visited sets, k and budgets, round after round. Some frontier
+    /// vectors sit exactly on the oracle's predictions, so a prediction
+    /// one ulp off changes a domination count.
+    #[test]
+    fn surrogate_proposals_match_the_sorting_oracle(
+        w_mask in 1usize..32,
+        cluster_mask in 1usize..16,
+        mask_layers in 0u32..=8,
+        mask_first in any::<bool>(),
+        dim in 1usize..=3,
+        k in 1usize..=10,
+        seed in any::<u64>(),
+        rounds in prop::collection::vec(surrogate_round(), 1..4),
+    ) {
+        use mpipu::Scenario;
+        use mpipu_explore::{Axis, SearchState, Searcher, SurrogateSearcher, Survivor};
+        use std::collections::HashSet;
+
+        let mask = (mask_layers > 0).then(|| Axis::schedule_mask(mask_layers));
+        let mut space = ParamSpace::new(Scenario::small_tile());
+        if let (Some(m), true) = (&mask, mask_first) {
+            space = space.axis(m.clone());
+        }
+        space = space
+            .axis(Axis::w(masked(&[8u32, 12, 16, 25, 38], w_mask)))
+            .axis(Axis::cluster(masked(&[1usize, 2, 4, 8], cluster_mask)));
+        if let (Some(m), false) = (mask, mask_first) {
+            space = space.axis(m);
+        }
+        let len = space.len();
+        let keyed = |v: &[f64]| -> Vec<f64> { v[..dim].iter().copied().map(lattice).collect() };
+
+        let mut fast = SurrogateSearcher::new(seed, k);
+        let mut oracle = SortingSurrogate { seed, k, history: Vec::new() };
+        for (rung, (observed, free, pinned, visited, budget)) in rounds.iter().enumerate() {
+            // 24 picks spread over the space: small spaces repeat
+            // coordinates, and lattice keyed values repeat distances.
+            let survivors: Vec<Survivor> = observed
+                .iter()
+                .map(|(pick, v)| {
+                    let id = DesignId(pick * 7919 % len);
+                    Survivor { id, coords: space.coords(id).expect("in range"), keyed: keyed(v) }
+                })
+                .collect();
+            fast.observe(&space, &survivors);
+            oracle.observe(&space, &survivors);
+
+            let mut frontier_keyed: Vec<Vec<f64>> = free.iter().map(|v| keyed(v)).collect();
+            let pool = oracle.pool(&space, rung, *budget);
+            if !oracle.history.is_empty() && !pool.is_empty() {
+                for j in 0..*pinned {
+                    let id = pool[j * pool.len() / pinned];
+                    let x = SortingSurrogate::normalize(&space, &space.coords(id).expect("in range"));
+                    frontier_keyed.push(oracle.predict(&x));
+                }
+            }
+            let frontier: Vec<FrontierPoint> = frontier_keyed
+                .iter()
+                .enumerate()
+                .map(|(i, v)| FrontierPoint { id: DesignId(i as u64), labels: Vec::new(), values: v.clone() })
+                .collect();
+            let visited: HashSet<u64> = visited.iter().map(|v| v % len).collect();
+            let state = SearchState {
+                rung,
+                frontier: &frontier,
+                frontier_keyed: &frontier_keyed,
+                survivors: &survivors,
+                visited: &visited,
+            };
+            prop_assert_eq!(
+                fast.propose(&space, &state, *budget),
+                oracle.propose(&space, &state, *budget),
+                "round {}", rung
+            );
+        }
+    }
+}

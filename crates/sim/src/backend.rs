@@ -41,6 +41,7 @@
 use crate::tile::TileConfig;
 use mpipu_analysis::dist::Distribution;
 use mpipu_datapath::theory::partition_width;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -178,10 +179,18 @@ impl CacheStats {
 /// their numerics).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    backend: &'static str,
-    tile: [u64; 7],
+    context: KeyContext,
     w: u32,
     software_precision: u32,
+}
+
+/// The part of a [`CacheKey`] that a sweep's design points share: the
+/// answering backend, tile, distributions, window and seed. [`Memoized`]
+/// interns each distinct context once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct KeyContext {
+    backend: &'static str,
+    tile: [u64; 7],
     act: (u8, u64),
     wgt: (u8, u64),
     window: usize,
@@ -194,22 +203,24 @@ impl CacheKey {
     pub fn new(backend: &'static str, q: &CostQuery, seed_sensitive: bool) -> CacheKey {
         let t = &q.tile;
         CacheKey {
-            backend,
-            tile: [
-                t.c_unroll as u64,
-                t.k_unroll as u64,
-                t.h_unroll as u64,
-                t.w_unroll as u64,
-                t.cluster_size as u64,
-                t.buffer_depth as u64,
-                t.weight_buffer_depth as u64,
-            ],
+            context: KeyContext {
+                backend,
+                tile: [
+                    t.c_unroll as u64,
+                    t.k_unroll as u64,
+                    t.h_unroll as u64,
+                    t.w_unroll as u64,
+                    t.cluster_size as u64,
+                    t.buffer_depth as u64,
+                    t.weight_buffer_depth as u64,
+                ],
+                act: dist_key(q.dists.0),
+                wgt: dist_key(q.dists.1),
+                window: q.window,
+                seed: seed_sensitive.then_some(q.seed),
+            },
             w: q.w,
             software_precision: q.software_precision,
-            act: dist_key(q.dists.0),
-            wgt: dist_key(q.dists.1),
-            window: q.window,
-            seed: seed_sensitive.then_some(q.seed),
         }
     }
 
@@ -217,13 +228,13 @@ impl CacheKey {
     /// Only seed-blind entries are worth persisting: they answer every
     /// future query for the same design point.
     pub fn seed_blind(&self) -> bool {
-        self.seed.is_none()
+        self.context.seed.is_none()
     }
 
     /// The answering backend's name (the interning domain of
     /// [`CacheKey::from_words`]).
     pub fn backend_name(&self) -> &'static str {
-        self.backend
+        self.context.backend
     }
 
     /// Flatten every non-name field to a fixed word vector — the
@@ -231,7 +242,8 @@ impl CacheKey {
     /// bit patterns, so the round trip through
     /// [`CacheKey::from_words`] is exact.
     pub fn to_words(&self) -> [u64; CACHE_KEY_WORDS] {
-        let t = &self.tile;
+        let c = &self.context;
+        let t = &c.tile;
         [
             t[0],
             t[1],
@@ -242,13 +254,13 @@ impl CacheKey {
             t[6],
             u64::from(self.w),
             u64::from(self.software_precision),
-            u64::from(self.act.0),
-            self.act.1,
-            u64::from(self.wgt.0),
-            self.wgt.1,
-            self.window as u64,
-            u64::from(self.seed.is_some()),
-            self.seed.unwrap_or(0),
+            u64::from(c.act.0),
+            c.act.1,
+            u64::from(c.wgt.0),
+            c.wgt.1,
+            c.window as u64,
+            u64::from(c.seed.is_some()),
+            c.seed.unwrap_or(0),
         ]
     }
 
@@ -260,18 +272,20 @@ impl CacheKey {
         let backend = intern_backend_name(backend)?;
         let w: &[u64; CACHE_KEY_WORDS] = words.try_into().ok()?;
         Some(CacheKey {
-            backend,
-            tile: [w[0], w[1], w[2], w[3], w[4], w[5], w[6]],
+            context: KeyContext {
+                backend,
+                tile: [w[0], w[1], w[2], w[3], w[4], w[5], w[6]],
+                act: (u8::try_from(w[9]).ok()?, w[10]),
+                wgt: (u8::try_from(w[11]).ok()?, w[12]),
+                window: usize::try_from(w[13]).ok()?,
+                seed: match w[14] {
+                    0 => None,
+                    1 => Some(w[15]),
+                    _ => return None,
+                },
+            },
             w: u32::try_from(w[7]).ok()?,
             software_precision: u32::try_from(w[8]).ok()?,
-            act: (u8::try_from(w[9]).ok()?, w[10]),
-            wgt: (u8::try_from(w[11]).ok()?, w[12]),
-            window: usize::try_from(w[13]).ok()?,
-            seed: match w[14] {
-                0 => None,
-                1 => Some(w[15]),
-                _ => return None,
-            },
         })
     }
 }
@@ -698,11 +712,11 @@ pub(crate) fn ipu_partition_pmf(
 }
 
 /// A tiny multiply-rotate hasher (the rustc-hash scheme) for the memo
-/// cache. [`CacheKey`] is ~14 machine words of well-spread numeric
-/// fields hashed once per slab slot, and the standard library's
-/// SipHash dominates warm-sweep lookups when every slot is a distinct
-/// key. Keys are internal — never attacker-chosen — so HashDoS
-/// resistance buys nothing here.
+/// cache. A key context is ~13 machine words of well-spread numeric
+/// fields and a point key three small integers, both hashed once per
+/// slab slot, and the standard library's SipHash dominates warm-sweep
+/// lookups when every slot is a distinct key. Keys are internal — never
+/// attacker-chosen — so HashDoS resistance buys nothing here.
 #[derive(Default)]
 struct FxHasher(u64);
 
@@ -756,6 +770,40 @@ impl std::hash::Hasher for FxHasher {
 
 type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
+/// A cached design point's value key: `(context id, w, software
+/// precision)`.
+type PointKey = (u32, u32, u32);
+
+/// The memo's storage: each distinct [`KeyContext`] is interned once,
+/// and values are keyed by [`PointKey`], so a cached design point costs
+/// one 24-byte `(PointKey, f64)` entry where a `(CacheKey, f64)` entry
+/// took 144. A sweep's points share a handful of contexts.
+#[derive(Default)]
+struct MemoTable {
+    contexts: HashMap<KeyContext, u32, FxBuildHasher>,
+    values: HashMap<PointKey, f64, FxBuildHasher>,
+}
+
+impl MemoTable {
+    fn get(&self, key: &CacheKey) -> Option<f64> {
+        let context = *self.contexts.get(&key.context)?;
+        self.values
+            .get(&(context, key.w, key.software_precision))
+            .copied()
+    }
+
+    /// `key`'s value slot, interning its context on first sight.
+    fn slot(&mut self, key: &CacheKey) -> Entry<'_, PointKey, f64> {
+        let next = u32::try_from(self.contexts.len()).expect("fewer than 2^32 key contexts");
+        let context = *self.contexts.entry(key.context).or_insert(next);
+        self.values.entry((context, key.w, key.software_precision))
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
 /// A concurrent memoization layer over any [`CostBackend`].
 ///
 /// Keys come from the inner backend's [`CostBackend::cache_key`], so a
@@ -765,7 +813,7 @@ type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 /// deterministic functions of their key).
 pub struct Memoized {
     inner: Arc<dyn CostBackend>,
-    cache: RwLock<HashMap<CacheKey, f64, FxBuildHasher>>,
+    cache: RwLock<MemoTable>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// When enabled, every insertion is also appended here — the
@@ -780,7 +828,7 @@ impl Memoized {
     pub fn new(inner: Arc<dyn CostBackend>) -> Memoized {
         Memoized {
             inner,
-            cache: RwLock::new(HashMap::default()),
+            cache: RwLock::new(MemoTable::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             logging: AtomicBool::new(false),
@@ -808,7 +856,7 @@ impl Memoized {
         let mut cache = self.cache.write().unwrap();
         let before = cache.len();
         for (key, value) in entries {
-            cache.entry(key).or_insert(value);
+            cache.slot(&key).or_insert(value);
         }
         cache.len() - before
     }
@@ -886,13 +934,12 @@ impl CostBackend for Memoized {
             out.len(),
             "estimate_batch: slab length mismatch"
         );
-        let keys: Vec<CacheKey> = queries.iter().map(|q| self.inner.cache_key(q)).collect();
         let mut miss_idx: Vec<usize> = Vec::new();
         {
             let cache = self.cache.read().unwrap();
-            for (i, key) in keys.iter().enumerate() {
-                match cache.get(key) {
-                    Some(&cycles) => out[i] = cycles,
+            for (i, q) in queries.iter().enumerate() {
+                match cache.get(&self.inner.cache_key(q)) {
+                    Some(cycles) => out[i] = cycles,
                     None => miss_idx.push(i),
                 }
             }
@@ -902,19 +949,24 @@ impl CostBackend for Memoized {
             return;
         }
         // Collapse duplicate keys within the slab: one inner computation
-        // per distinct design point.
+        // per distinct design point. Keys are collected for misses only.
+        let keys: Vec<CacheKey> = miss_idx
+            .iter()
+            .map(|&i| self.inner.cache_key(&queries[i]))
+            .collect();
         let mut slot_of_key: HashMap<&CacheKey, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new();
-        let slots: Vec<usize> = miss_idx
+        let slots: Vec<usize> = keys
             .iter()
-            .map(|&i| {
-                *slot_of_key.entry(&keys[i]).or_insert_with(|| {
-                    unique.push(i);
+            .enumerate()
+            .map(|(j, key)| {
+                *slot_of_key.entry(key).or_insert_with(|| {
+                    unique.push(j);
                     unique.len() - 1
                 })
             })
             .collect();
-        let miss_queries: Vec<CostQuery> = unique.iter().map(|&i| queries[i]).collect();
+        let miss_queries: Vec<CostQuery> = unique.iter().map(|&j| queries[miss_idx[j]]).collect();
         let mut miss_out = vec![0.0f64; miss_queries.len()];
         self.inner.estimate_batch(&miss_queries, &mut miss_out);
         self.hits.fetch_add(
@@ -928,9 +980,9 @@ impl CostBackend for Memoized {
         // last insert is harmless.
         {
             let mut cache = self.cache.write().unwrap();
-            for (&i, &cycles) in unique.iter().zip(&miss_out) {
-                self.log_insert(&keys[i], cycles);
-                cache.insert(keys[i].clone(), cycles);
+            for (&j, &cycles) in unique.iter().zip(&miss_out) {
+                self.log_insert(&keys[j], cycles);
+                cache.slot(&keys[j]).insert_entry(cycles);
             }
         }
         for (&i, &slot) in miss_idx.iter().zip(&slots) {
@@ -1474,6 +1526,11 @@ mod tests {
         assert_eq!(fresh.window_cycles(&a), va);
         assert_eq!(fresh.hits(), 1, "preloaded entry served from cache");
         assert_eq!(fresh.misses(), 0);
+    }
+
+    #[test]
+    fn memo_entry_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<(PointKey, f64)>() <= 24);
     }
 
     #[test]

@@ -580,3 +580,135 @@ proptest! {
         }
     }
 }
+
+/// A cheap deterministic backend for the memo test: every answer is a
+/// hash of the query's cache-key words, so a memo that confused two keys
+/// would serve the wrong number. `blind` drops the seed from its keys,
+/// as the analytic backend does.
+#[derive(Debug)]
+struct KeyHash {
+    blind: bool,
+}
+
+impl CostBackend for KeyHash {
+    fn name(&self) -> &'static str {
+        "key-hash"
+    }
+
+    fn cache_key(&self, q: &CostQuery) -> mpipu_sim::CacheKey {
+        mpipu_sim::CacheKey::new(self.name(), q, !self.blind)
+    }
+
+    fn estimate_batch(&self, queries: &[CostQuery], out: &mut [f64]) {
+        for (q, o) in queries.iter().zip(out) {
+            let h = self.cache_key(q).to_words().iter().fold(0u64, |h, &w| {
+                (h.rotate_left(5) ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            *o = (h >> 11) as f64;
+        }
+    }
+}
+
+/// A query from a base point with at most one context field changed
+/// (`context` 0 keeps the base), and `w`/software precision picked from
+/// short lists so keys often share a context.
+fn memo_query(context: usize, w: usize, swp: usize) -> CostQuery {
+    let base = CostQuery {
+        tile: TileConfig::small(),
+        w: [8, 12, 16][w],
+        software_precision: [16, 28][swp],
+        dists: mpipu_sim::cost::pass_distributions(Pass::Forward),
+        window: 48,
+        seed: 7,
+    };
+    let backward = mpipu_sim::cost::pass_distributions(Pass::Backward);
+    match context {
+        1 => CostQuery {
+            tile: TileConfig {
+                cluster_size: 2,
+                ..base.tile
+            },
+            ..base
+        },
+        2 => CostQuery {
+            tile: TileConfig::big(),
+            ..base
+        },
+        3 => CostQuery {
+            dists: (backward.0, base.dists.1),
+            ..base
+        },
+        4 => CostQuery {
+            dists: (base.dists.0, backward.1),
+            ..base
+        },
+        5 => CostQuery { window: 49, ..base },
+        6 => CostQuery { seed: 8, ..base },
+        _ => base,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Memoized`, which interns each key context once and keys values by
+    /// `(context id, w, software precision)`, behaves like a flat
+    /// `HashMap<CacheKey, f64>`: the same answers, entry count, preload
+    /// counts and insert log, over batches and preloads of keys that share
+    /// a context and differ only in `w`/software precision, or differ in
+    /// one context field (the seed one merges under a seed-blind backend).
+    #[test]
+    fn memo_table_matches_a_flat_map(
+        blind in any::<bool>(),
+        ops in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec((0usize..8, 0usize..3, 0usize..2, 0u32..1000), 0..12)),
+            1..8,
+        ),
+    ) {
+        use mpipu_sim::CacheKey;
+        use std::collections::HashMap;
+
+        let inner = Arc::new(KeyHash { blind });
+        let memo = Memoized::new(inner.clone());
+        memo.enable_insert_log();
+        let mut flat: HashMap<CacheKey, f64> = HashMap::new();
+        for (preload, items) in &ops {
+            let queries: Vec<CostQuery> =
+                items.iter().map(|&(c, w, swp, _)| memo_query(c, w, swp)).collect();
+            let mut logged: Vec<(CacheKey, f64)> = Vec::new();
+            if *preload {
+                let entries: Vec<(CacheKey, f64)> = queries
+                    .iter()
+                    .zip(items)
+                    .map(|(q, &(.., v))| (inner.cache_key(q), f64::from(v)))
+                    .collect();
+                let before = flat.len();
+                for (key, value) in entries.clone() {
+                    flat.entry(key).or_insert(value);
+                }
+                prop_assert_eq!(memo.preload(entries), flat.len() - before);
+            } else {
+                let mut out = vec![0.0f64; queries.len()];
+                memo.estimate_batch(&queries, &mut out);
+                for (q, got) in queries.iter().zip(&out) {
+                    let key = inner.cache_key(q);
+                    let want = match flat.get(&key) {
+                        Some(&v) => v,
+                        None => match logged.iter().find(|(k, _)| *k == key) {
+                            Some(&(_, v)) => v,
+                            None => {
+                                let v = inner.window_cycles(q);
+                                logged.push((key, v));
+                                v
+                            }
+                        },
+                    };
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}", q);
+                }
+                flat.extend(logged.iter().cloned());
+            }
+            prop_assert_eq!(memo.len(), flat.len());
+            prop_assert_eq!(memo.drain_insert_log(), logged);
+        }
+    }
+}
